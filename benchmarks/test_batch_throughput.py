@@ -28,8 +28,7 @@ from repro.sim.rng import derive_seed
 from repro.workloads.distributions import BingDistribution
 from repro.workloads.generator import WorkloadSpec
 
-#: Replicates per batch -- the multi-rep regime the sweep layer batches
-#: (>= the default REPRO_BATCH floor of 4).
+#: Replicates per batch -- the multi-rep regime of a sweep cell.
 REPS = max(2, int(os.environ.get("REPRO_BENCH_BATCH_REPS", "8")))
 
 

@@ -4,7 +4,7 @@ The streaming mode's performance contract is that bounded memory is
 *not* bought with throughput: generating arrivals chunk by chunk,
 retiring completed jobs and maintaining exact online flow statistics
 must stay within 10% of materializing the whole instance up front and
-running ``engine="flat"`` over it.
+running the Python flat-CSR kernel (``_run_flat``) over it.
 
 ``test_stream_engine_throughput`` and
 ``test_flat_materialized_throughput`` are the mirrored pair: the same
@@ -27,7 +27,7 @@ exactly the regime streaming exists for.
 
 import pytest
 
-import repro
+from repro.sim.flat_engine import _run_flat
 from repro.sim.stream_engine import _run_stream
 from repro.workloads.distributions import BingDistribution
 from repro.workloads.generator import WorkloadSpec
@@ -65,11 +65,9 @@ def test_stream_engine_throughput(benchmark, stream_spec, total_work):
 
 @pytest.mark.benchmark(min_rounds=7, warmup=True)
 def test_flat_materialized_throughput(benchmark, stream_spec, total_work):
-    """Gated side: materialize + engine="flat", timed together."""
+    """Gated side: materialize + the flat kernel, timed together."""
     r = benchmark(
-        lambda: repro.run(
-            "flat", stream_spec.materialize(0), m=M, **ENGINE_KW
-        )
+        lambda: _run_flat(stream_spec.materialize(0), M, **ENGINE_KW)
     )
     assert r.stats.busy_steps == total_work
 

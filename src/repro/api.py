@@ -10,17 +10,14 @@ with inconsistently named knobs (``m`` vs ``num_workers``, ``speed`` vs
   subclass, instantiated with defaults) to dispatch through its
   polymorphic ``run``;
 * pass an *engine name string* to reach an engine directly:
-  ``"work-stealing"`` (the reference tick engine; extra keyword
+  ``"work-stealing"``, ``"flat"`` and ``"batch"`` are one engine --
+  steal-k-first work stealing through :mod:`repro.sim.dispatch`, which
+  runs the compiled kernel when the configuration allows it and the
+  reference tick engine otherwise, bit-identically (extra keyword
   arguments such as ``k``, ``steals_per_tick``, ``trace`` forward to
-  it), ``"flat"`` (the vectorized flat-CSR kernel of
-  :mod:`repro.sim.flat_engine` -- bit-identical to the reference and
-  additionally accepts a :class:`~repro.dag.flat.FlatInstance`
-  directly), ``"batch"`` (the rep-batched arena kernel of
-  :mod:`repro.sim.batch_engine` -- same semantics and knobs as
-  ``"flat"``; :func:`repro.sim.batch_engine.run_batch` amortizes the
-  dispatch cost over many replicates at once) or ``"speedup-fifo"`` /
-  ``"speedup-equi"`` (the speedup-curves engines, which take a
-  :class:`~repro.speedup.model.SpeedupJobSet`).
+  it; a :class:`~repro.dag.flat.FlatInstance` is accepted directly);
+  ``"speedup-fifo"`` / ``"speedup-equi"`` are the speedup-curves
+  engines, which take a :class:`~repro.speedup.model.SpeedupJobSet`.
 
 The old module-level entrypoints survive as thin shims that emit one
 :class:`DeprecationWarning` per process and forward unchanged -- results
@@ -29,8 +26,10 @@ error::DeprecationWarning`` to keep internal code off them.
 
 The facade is also where observability attaches: pass
 ``telemetry=Telemetry(...)`` and the run emits ``run.start`` /
-``run.done`` events (scheduler label, machine size, wall time, and the
-full :class:`~repro.sim.result.SimulationStats` snapshot).  With
+``run.done`` events (scheduler label, the ``engine`` that ran --
+``"cext"`` or ``"reference"`` -- and its ``reason``, machine size, wall
+time, and the full :class:`~repro.sim.result.SimulationStats`
+snapshot).  With
 ``telemetry=None`` nothing is recorded and the schedule is
 bit-identical -- the engines never see the telemetry object at all.
 
@@ -191,118 +190,91 @@ def run(
     if isinstance(scheduler, type) and issubclass(scheduler, Scheduler):
         scheduler = scheduler()
 
+    from repro.sim import dispatch
+
+    # Work-stealing runs go through the one dispatch point: an engine
+    # name, or a scheduler whose run() is the dispatched one (called with
+    # nothing but its own run() options).  ws_kwargs holds their knobs.
+    ws_kwargs: Optional[Dict[str, Any]] = None
     if isinstance(scheduler, Scheduler):
         label = scheduler.name
-        engine = "scheduler"
+        knobs = dispatch.scheduler_kwargs(scheduler)
+        if knobs is not None and set(engine_kwargs) <= {"trace", "sampler"}:
+            ws_kwargs = {**knobs, **engine_kwargs}
 
-        def dispatch() -> ScheduleResult:
+        def other() -> ScheduleResult:
             return scheduler.run(
                 jobset, m=size, speed=s, seed=seed, **engine_kwargs
             )
 
-    elif isinstance(scheduler, str):
-        label = scheduler
-        engine = scheduler
-        if scheduler == "work-stealing":
-            from repro.sim.engine import _run_work_stealing
-
-            def dispatch() -> ScheduleResult:
-                return _run_work_stealing(
-                    jobset, m=size, speed=s, seed=seed, **engine_kwargs
-                )
-
-        elif scheduler == "flat":
-            from repro.sim.flat_engine import _run_flat
-
-            def dispatch() -> ScheduleResult:
-                return _run_flat(
-                    jobset, m=size, speed=s, seed=seed, **engine_kwargs
-                )
-
-        elif scheduler == "batch":
-            from repro.sim.batch_engine import run_batch
-
-            def dispatch() -> ScheduleResult:
-                return run_batch(
-                    [jobset],
-                    m=size,
-                    speed=s,
-                    seeds=[seed],
-                    **engine_kwargs,
-                )[0]
-
-        elif scheduler in ("speedup-fifo", "speedup-equi"):
-            from repro.speedup.engine import (
-                _run_speedup_equi,
-                _run_speedup_fifo,
-            )
-
-            target = (
-                _run_speedup_fifo
-                if scheduler == "speedup-fifo"
-                else _run_speedup_equi
-            )
-            if seed is not None:
-                raise TypeError(
-                    f"{scheduler!r} is deterministic and takes no seed; "
-                    f"got seed={seed!r}"
-                )
-            if engine_kwargs:
-                raise TypeError(
-                    f"{scheduler!r} accepts no extra engine arguments; "
-                    f"got {sorted(engine_kwargs)}"
-                )
-
-            def dispatch() -> ScheduleResult:
-                return target(jobset, m=size, speed=s)
-
-        else:
-            raise ValueError(
-                f"unknown engine name {scheduler!r}; "
-                f"expected one of {ENGINE_NAMES} or a Scheduler"
-            )
-    else:
+    elif not isinstance(scheduler, str):
         raise TypeError(
             f"scheduler must be a Scheduler, a Scheduler subclass, or an "
             f"engine name string, got {type(scheduler).__name__}"
         )
+    elif scheduler in ("work-stealing", "flat", "batch"):
+        label = scheduler
+        ws_kwargs = engine_kwargs
+    elif scheduler in ("speedup-fifo", "speedup-equi"):
+        from repro.speedup.engine import _run_speedup_equi, _run_speedup_fifo
+
+        label = scheduler
+        speedup = (
+            _run_speedup_fifo
+            if scheduler == "speedup-fifo"
+            else _run_speedup_equi
+        )
+        if seed is not None:
+            raise TypeError(
+                f"{scheduler!r} is deterministic and takes no seed; "
+                f"got seed={seed!r}"
+            )
+        if engine_kwargs:
+            raise TypeError(
+                f"{scheduler!r} accepts no extra engine arguments; "
+                f"got {sorted(engine_kwargs)}"
+            )
+
+        def other() -> ScheduleResult:
+            return speedup(jobset, m=size, speed=s)
+
+    else:
+        raise ValueError(
+            f"unknown engine name {scheduler!r}; "
+            f"expected one of {ENGINE_NAMES} or a Scheduler"
+        )
+
+    def target(tel: Optional[Any] = None) -> ScheduleResult:
+        if ws_kwargs is None:
+            return other()
+        return dispatch.run_work_stealing(
+            jobset, size, speed=s, seed=seed, telemetry=tel, **ws_kwargs
+        )
 
     if telemetry is None:
-        return dispatch()
+        return target()
 
+    if ws_kwargs is not None:
+        engine, reason = dispatch._dispatch(jobset, **ws_kwargs)
+    else:
+        engine, reason = dispatch.REFERENCE, f"no compiled kernel for {label}"
     telemetry.emit(
         "run.start",
         scheduler=label,
         engine=engine,
+        reason=reason,
         m=size,
         speed=s,
         seed=seed,
         n_jobs=_n_jobs(jobset),
     )
-    if engine in ("flat", "batch"):
-        # Surface configs that silently fall off the flat kernel onto
-        # the ~8x-slower reference engine (the engine itself also emits
-        # a one-time RuntimeWarning; this event records every run).
-        from repro.sim.flat_engine import _slow_path_reasons
-
-        reasons = _slow_path_reasons(
-            engine_kwargs.get("victim_policy", "uniform"),
-            bool(engine_kwargs.get("steal_half", False)),
-            engine_kwargs.get("admission", "fifo"),
-            engine_kwargs.get("trace"),
-        )
-        if reasons:
-            telemetry.emit(
-                "dispatch.slow_path",
-                engine=engine,
-                reasons=list(reasons),
-            )
     t0 = time.perf_counter()
-    result = dispatch()
+    result = target(telemetry)
     telemetry.emit(
         "run.done",
         scheduler=result.scheduler,
         engine=engine,
+        reason=reason,
         m=size,
         speed=s,
         wall_s=round(time.perf_counter() - t0, 6),
@@ -430,11 +402,14 @@ class _EngineScheduler(Scheduler):
     def consumes_flat(self) -> bool:
         """Whether :meth:`run` can take a raw :class:`FlatInstance`.
 
-        The sweep dispatch layer checks this to hand the flat kernel the
-        attached CSR arrays directly (no ``to_jobset()`` round trip in
-        pool workers).
+        The sweep dispatch layer checks this to hand the compiled
+        kernel the attached CSR arrays directly (no ``to_jobset()``
+        round trip in pool workers); true when the configuration routes
+        to it (see :mod:`repro.sim.dispatch`).
         """
-        return self.engine in ("flat", "batch")
+        from repro.sim.dispatch import CEXT, scheduler_route
+
+        return scheduler_route(self)[0] == CEXT
 
     def run(
         self,
@@ -445,19 +420,14 @@ class _EngineScheduler(Scheduler):
         trace: Optional[Any] = None,
     ) -> ScheduleResult:
         if self.engine in ("work-stealing", "flat", "batch"):
-            if self.engine == "work-stealing":
-                from repro.sim.engine import _run_work_stealing as target
-            else:
-                # A batch of one replicate has nothing to amortize: the
-                # "batch" engine evaluates single cells on the flat
-                # kernel (bit-identical); the sweep dispatch layer does
-                # the actual cross-rep batching (see _grid_sweep).
-                from repro.sim.flat_engine import _run_flat as target
+            from repro.sim.dispatch import run_work_stealing
 
             kwargs = dict(self.engine_kwargs)
             if trace is not None:
                 kwargs["trace"] = trace
-            return target(jobset, m=m, speed=speed, seed=seed, **kwargs)
+            return run_work_stealing(
+                jobset, m=m, speed=speed, seed=seed, **kwargs
+            )
         from repro.speedup.engine import _run_speedup_equi, _run_speedup_fifo
 
         target = (
@@ -588,10 +558,10 @@ def sweep(
         * an *engine name* (``"work-stealing"``, ``"flat"``,
           ``"batch"``, ``"speedup-fifo"``, ``"speedup-equi"``) -- grid
           parameters forward to the engine (the deterministic speedup
-          engines accept none and ignore seeds).  ``"flat"`` and
-          ``"batch"`` additionally run pool workers straight on the
-          attached shared-memory CSR arrays, skipping the per-worker
-          object-graph rebuild;
+          engines accept none and ignore seeds).  Work-stealing cells
+          that route to the compiled kernel run pool workers straight
+          on the attached shared-memory CSR arrays, skipping the
+          per-worker object-graph rebuild;
         * any other *callable* -- passed through unchanged, i.e. the
           raw :func:`~repro.experiments.sweep.grid_sweep` contract.
     grid:

@@ -26,7 +26,6 @@ from typing import Optional
 
 from repro.core.base import Scheduler
 from repro.dag.job import JobSet
-from repro.sim.engine import _run_work_stealing
 from repro.sim.result import ScheduleResult
 from repro.sim.rng import SeedLike
 from repro.sim.sampling import SystemSampler
@@ -50,6 +49,10 @@ class WorkStealingScheduler(Scheduler):
     Randomness is confined to victim selection; pass ``seed`` to
     :meth:`run` for reproducible runs.  Each steal attempt costs one time
     step, exactly as in the paper's analysis.
+
+    :meth:`run` goes through :mod:`repro.sim.dispatch`: configurations
+    inside the compiled kernel's scope run there, everything else on the
+    reference engine, with bit-identical results either way.
     """
 
     def __init__(
@@ -97,6 +100,16 @@ class WorkStealingScheduler(Scheduler):
             suffix += f"/{self.admission}-admission"
         return base + suffix
 
+    @property
+    def consumes_flat(self) -> bool:
+        """Whether :meth:`run` takes a :class:`~repro.dag.flat.FlatInstance`
+        without rebuilding the object graph: true when the configuration
+        routes to the compiled kernel (sweep workers then hand it the
+        shared-memory CSR arrays directly)."""
+        from repro.sim.dispatch import CEXT, scheduler_route
+
+        return scheduler_route(self)[0] == CEXT
+
     def run(
         self,
         jobset: JobSet,
@@ -106,7 +119,9 @@ class WorkStealingScheduler(Scheduler):
         trace: Optional[TraceRecorder] = None,
         sampler: Optional[SystemSampler] = None,
     ) -> ScheduleResult:
-        return _run_work_stealing(
+        from repro.sim.dispatch import run_work_stealing
+
+        return run_work_stealing(
             jobset,
             m=m,
             speed=speed,

@@ -104,13 +104,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.dag.flat import (
-    FlatInstance,
-    flatten_jobset,
-    pack_into,
-    to_jobset,
-    unpack_from,
-)
+from repro.dag.flat import FlatInstance, pack_into, to_jobset, unpack_from
 from repro.dag.job import JobSet
 from repro.errors import CellCrashedError, CellTimeoutError, FaultInjected
 
@@ -669,16 +663,19 @@ def shared_memory_available() -> bool:
 _ATTACH_CACHE: Dict[str, Tuple[Any, JobSet]] = {}
 
 #: Flat views of attached shared-memory blocks, keyed by block name.
-#: Sibling of ``_ATTACH_CACHE`` for flat-consuming schedulers
-#: (``engine="flat"``): the cached :class:`FlatInstance` wraps views
-#: straight into the shared block -- no object graph is ever built --
-#: and carries the kernel's derived-table cache across tasks.
+#: Sibling of ``_ATTACH_CACHE`` for flat-consuming schedulers (those
+#: routed to the compiled kernel): the cached :class:`FlatInstance`
+#: wraps views straight into the shared block -- no object graph is
+#: ever built -- and carries the kernel's derived-table cache across
+#: tasks.
 _FLAT_ATTACH_CACHE: Dict[str, Tuple[Any, FlatInstance]] = {}
 
 #: Instances published by THIS process (the sweep parent), keyed by
-#: block name.  The serial fallback path resolves against it directly,
-#: avoiding a same-process re-attach.
-_PUBLISHED_LOCAL: Dict[str, JobSet] = {}
+#: block name: ``[flat, jobset or None]``.  The serial fallback path
+#: resolves against it directly, avoiding a same-process re-attach; the
+#: object view is built on first request only, so a sweep whose
+#: schedulers all consume flat instances never builds it.
+_PUBLISHED_LOCAL: Dict[str, List[Any]] = {}
 
 #: Attach-cache bound: a sweep references one block per repetition, so
 #: a handful is plenty; the bound keeps long-lived workers from pinning
@@ -769,11 +766,9 @@ class SharedInstance:
             meta["shm_name"] = self._shm.name
             self.handle: Dict[str, Any] = meta
             # Parent-side shortcut for the serial path: reuse the
-            # already materialized object view instead of re-attaching
-            # in-process.
-            _PUBLISHED_LOCAL[self._shm.name] = (
-                jobset if jobset is not None else to_jobset(flat)
-            )
+            # parent's instance (and object view, when it has one)
+            # instead of re-attaching in-process.
+            _PUBLISHED_LOCAL[self._shm.name] = [flat, jobset]
         except BaseException:
             # A failed publish must not leak the freshly created block
             # (it would otherwise pin /dev/shm until interpreter exit).
@@ -783,7 +778,7 @@ class SharedInstance:
     @property
     def jobset(self) -> JobSet:
         """The parent-side object view of the published instance."""
-        return _PUBLISHED_LOCAL[self._shm.name]
+        return _local_jobset(_PUBLISHED_LOCAL[self._shm.name])
 
     def close(self) -> None:
         """Release and unlink the block (idempotent)."""
@@ -813,6 +808,13 @@ def _evict_attach_cache() -> None:
                 pass
 
 
+def _local_jobset(entry: List[Any]) -> JobSet:
+    """The object view of a ``_PUBLISHED_LOCAL`` entry, built once."""
+    if entry[1] is None:
+        entry[1] = to_jobset(entry[0])
+    return entry[1]
+
+
 def attach_jobset(handle: Dict[str, Any]) -> JobSet:
     """Resolve a :attr:`SharedInstance.handle` into a :class:`JobSet`.
 
@@ -825,7 +827,7 @@ def attach_jobset(handle: Dict[str, Any]) -> JobSet:
     name = handle["shm_name"]
     local = _PUBLISHED_LOCAL.get(name)
     if local is not None:  # serial path inside the publishing process
-        return local
+        return _local_jobset(local)
     cached = _ATTACH_CACHE.get(name)
     if cached is not None:
         return cached[1]
@@ -858,7 +860,7 @@ def attach_flat(handle: Dict[str, Any]) -> FlatInstance:
     """Resolve a :attr:`SharedInstance.handle` into a :class:`FlatInstance`.
 
     The flat sibling of :func:`attach_jobset`, for schedulers that
-    consume CSR state directly (``engine="flat"``): the returned
+    consume CSR state directly (``consumes_flat``): the returned
     instance's arrays are views straight into the shared block, so a
     pool worker never rebuilds the per-job object graph at all.  Cached
     per process like the jobset view, which also keeps the flat
@@ -869,9 +871,8 @@ def attach_flat(handle: Dict[str, Any]) -> FlatInstance:
     local = _PUBLISHED_LOCAL.get(name)
     if local is not None:
         # Serial path inside the publishing process: the published
-        # jobset carries its flat view (flatten_jobset caches it), so
-        # this is a dict lookup, not a re-flatten.
-        return flatten_jobset(local)
+        # instance itself.
+        return local[0]
     cached = _FLAT_ATTACH_CACHE.get(name)
     if cached is not None:
         return cached[1]

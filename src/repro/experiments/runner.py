@@ -90,24 +90,11 @@ def run_figure2_cell(
     flow of each scheduler across them, converting to milliseconds with
     the config's time unit.
 
-    Cells with enough repetitions evaluate the work-stealing lineup
-    members through :func:`repro.sim.batch_engine.run_batch` -- all reps
-    in one arena, same derived seeds, bit-identical means (the
-    accumulation order per scheduler is unchanged: rep 0, 1, ...).
-    ``REPRO_BATCH`` controls the rep floor exactly as in
-    :func:`repro.experiments.sweep._grid_sweep`.
+    The work-stealing lineup members run through
+    :mod:`repro.sim.dispatch`, i.e. on the compiled kernel at any rep
+    count when the host has one.
     """
-    from repro.experiments.sweep import _batch_threshold
-    from repro.sim.batch_engine import batch_options, run_batch
-
     lineup = figure2_schedulers(cfg, include_fifo)
-    threshold = _batch_threshold()
-    batchable: Dict[int, Dict[str, Any]] = {}
-    if threshold is not None and scale.reps >= threshold:
-        for i, sched in enumerate(lineup):
-            engine_kwargs = batch_options(sched)
-            if engine_kwargs is not None:
-                batchable[i] = engine_kwargs
 
     def build_rep(rep: int) -> JobSet:
         cell_seed = derive_seed(seed, int(qps), rep)
@@ -122,36 +109,6 @@ def run_figure2_cell(
         return spec.build(seed=cell_seed)
 
     sums: Dict[str, float] = {}
-    if batchable:
-        jobsets = [build_rep(rep) for rep in range(scale.reps)]
-        batch_results: Dict[int, List[ScheduleResult]] = {}
-        for i, engine_kwargs in batchable.items():
-            # The exact seeds run_schedulers would derive, per rep.
-            rep_seeds = [
-                derive_seed(derive_seed(seed, int(qps), rep), 1000 + i)
-                for rep in range(scale.reps)
-            ]
-            batch_results[i] = run_batch(
-                jobsets, m=cfg.m, seeds=rep_seeds, **engine_kwargs
-            )
-        for rep in range(scale.reps):
-            cell_seed = derive_seed(seed, int(qps), rep)
-            for i, sched in enumerate(lineup):
-                if i in batch_results:
-                    res = batch_results[i][rep]
-                else:
-                    res = sched.run(
-                        jobsets[rep],
-                        m=cfg.m,
-                        speed=1.0,
-                        seed=derive_seed(cell_seed, 1000 + i),
-                    )
-                sums[sched.name] = (
-                    sums.get(sched.name, 0.0)
-                    + res.max_flow * cfg.time_unit_ms
-                )
-        return {name: total / scale.reps for name, total in sums.items()}
-
     for rep in range(scale.reps):
         cell_seed = derive_seed(seed, int(qps), rep)
         results = run_schedulers(
@@ -174,18 +131,26 @@ def _figure2_cell_task(task: Figure2CellTask) -> Dict[str, Any]:
     """Top-level (hence picklable) adapter around :func:`run_figure2_cell`.
 
     Returns the cell's metric dict wrapped with worker-side telemetry
-    (wall time measured inside the worker, worker pid); the parent turns
-    the wrapper into a ``cell.run`` event and stores only the metrics.
+    (wall time measured inside the worker, worker pid, and the
+    ``engine`` / ``reason`` route of the lineup's work-stealing runs);
+    the parent turns the wrapper into a ``cell.run`` event and stores
+    only the metrics.
     """
+    from repro.sim.dispatch import scheduler_route
+
     cfg, qps, scale, seed, include_fifo = task
     t0 = time.perf_counter()
     metrics = run_figure2_cell(
         cfg, qps, scale, seed=seed, include_fifo=include_fifo
     )
+    wall = time.perf_counter() - t0
+    engine, reason = scheduler_route(figure2_schedulers(cfg)[1])
     return {
         "metrics": metrics,
-        "wall_s": round(time.perf_counter() - t0, 6),
+        "wall_s": round(wall, 6),
         "pid": os.getpid(),
+        "engine": engine,
+        "reason": reason,
     }
 
 
@@ -310,6 +275,8 @@ def _run_figure2_cells(
                 seed=seed,
                 wall_s=payload["wall_s"],
                 pid=payload["pid"],
+                engine=payload["engine"],
+                reason=payload["reason"],
                 metrics=value,
             )
 

@@ -226,21 +226,25 @@ def _sweep_rep_task(task) -> Dict[str, Any]:
     it exists so the deterministic fault harness
     (:mod:`repro.testing.faults`) can target one specific cell.
 
-    Returns ``{"metrics", "wall_s", "pid", "stats"}``: the extracted
-    metric values (the only part results depend on -- cheaper to ship
-    between processes than a full ScheduleResult) plus the worker-side
-    observability payload the parent turns into ``cell.run`` telemetry
-    events.  Wall time is measured around the simulation only, inside
-    the worker, so pool queueing never inflates it.
+    Returns ``{"metrics", "wall_s", "pid", "stats", "engine",
+    "reason"}``: the extracted metric values (the only part results
+    depend on -- cheaper to ship between processes than a full
+    ScheduleResult) plus the worker-side observability payload the
+    parent turns into ``cell.run`` telemetry events (``engine`` /
+    ``reason`` are the route :mod:`repro.sim.dispatch` took).  Wall time
+    is measured around the simulation only, inside the worker, so pool
+    queueing never inflates it.
     """
+    from repro.sim.dispatch import scheduler_route
+
     (factory, params, instance_handle, m, speed, run_seed, metrics,
      task_index) = task
     maybe_inject("dispatch", index=task_index)
     scheduler = factory(**params)
     if isinstance(instance_handle, dict):
-        # Flat-consuming schedulers (engine="flat") take the attached
-        # CSR arrays directly -- zero-copy end to end, no per-worker
-        # object-graph rebuild.
+        # Flat-consuming schedulers (those routed to the compiled
+        # kernel) take the attached CSR arrays directly -- zero-copy end
+        # to end, no per-worker object-graph rebuild.
         if getattr(scheduler, "consumes_flat", False):
             jobset = attach_flat(instance_handle)
         else:
@@ -251,52 +255,25 @@ def _sweep_rep_task(task) -> Dict[str, Any]:
     t0 = time.perf_counter()
     result = scheduler.run(jobset, m=m, speed=speed, seed=run_seed)
     wall = time.perf_counter() - t0
+    engine, reason = scheduler_route(scheduler, jobset)
     return {
         "metrics": {name: METRICS[name](result) for name in metrics},
         "wall_s": round(wall, 6),
         "pid": os.getpid(),
         "stats": result.stats.as_dict(),
+        "engine": engine,
+        "reason": reason,
     }
 
 
-#: Default minimum number of cold repetitions of one cell before the
-#: sweep fuses them into a single batched task (ISSUE 10).  Below this,
-#: the arena build cost is not worth amortizing; override with
-#: ``REPRO_BATCH=<n>`` or disable batching entirely with
-#: ``REPRO_BATCH=0``.
-_BATCH_MIN_REPS = 4
-
-
-def _batch_threshold() -> Optional[int]:
-    """The rep-count floor for batched dispatch, or None when disabled.
-
-    ``REPRO_BATCH`` unset -> :data:`_BATCH_MIN_REPS`; ``0`` / ``off`` ->
-    None (every repetition runs as its own task, the pre-ISSUE-10
-    dispatch); any other integer -> that floor (clamped to >= 2, a batch
-    of one amortizes nothing).
-    """
-    raw = os.environ.get("REPRO_BATCH", "").strip().lower()
-    if raw in ("0", "off", "false", "no"):
-        return None
-    if not raw:
-        return _BATCH_MIN_REPS
-    try:
-        return max(2, int(raw))
-    except ValueError:
-        raise SweepConfigError(
-            f"REPRO_BATCH must be an integer rep threshold or 0/off, "
-            f"got {raw!r}"
-        ) from None
-
-
 def _sweep_batch_task(task) -> Dict[str, Any]:
-    """All cold repetitions of one batch-eligible cell, as one task.
+    """All cold repetitions of one kernel-routed cell, as one task.
 
     ``task`` is ``(engine_kwargs, handles, m, speed, run_seeds, metrics,
     task_indices)``: the per-rep instance handles and coordinate-derived
     run seeds of the fused (cell, rep) tasks, plus the cell's engine
-    configuration as validated by
-    :func:`repro.sim.batch_engine.batch_options`.  The whole batch is
+    configuration, which :mod:`repro.sim.dispatch` routes to the
+    compiled kernel.  The whole batch is
     evaluated in one :func:`~repro.sim.batch_engine.run_batch` arena;
     results are bit-identical per rep to the unbatched
     :func:`_sweep_rep_task` path, so cache cells written from either
@@ -310,6 +287,7 @@ def _sweep_batch_task(task) -> Dict[str, Any]:
     attribution inside one arena call is not meaningful).
     """
     from repro.sim.batch_engine import run_batch
+    from repro.sim.dispatch import _dispatch
 
     (engine_kwargs, handles, m, speed, run_seeds, metrics,
      task_indices) = task
@@ -327,6 +305,7 @@ def _sweep_batch_task(task) -> Dict[str, Any]:
     wall = time.perf_counter() - t0
     amortized = round(wall / len(results), 6)
     pid = os.getpid()
+    routes = [_dispatch(inst, **engine_kwargs) for inst in instances]
     return {
         "batch": [
             {
@@ -334,8 +313,10 @@ def _sweep_batch_task(task) -> Dict[str, Any]:
                 "wall_s": amortized,
                 "pid": pid,
                 "stats": r.stats.as_dict(),
+                "engine": engine,
+                "reason": reason,
             }
-            for r in results
+            for r, (engine, reason) in zip(results, routes)
         ],
         "wall_s": round(wall, 6),
         "pid": pid,
@@ -367,6 +348,9 @@ def _materialize_rep_instance(
     :class:`~repro.workloads.generator.WorkloadSpec`): arbitrary
     callables have no stable content identity to key on.  A flat view is
     always produced -- the dispatch and cell-cache layers both need it.
+    ``jobset`` is None when the instance exists only in flat form (a
+    cache load or a vectorized build); the sweep builds the object view
+    on demand, for schedulers that need one.
     """
     key_fn = getattr(jobset_factory, "cache_key", None)
     instance_key = key_fn(jobset_seed) if callable(key_fn) else None
@@ -374,13 +358,13 @@ def _materialize_rep_instance(
     if cache is not None and instance_key is not None:
         flat = cache.load_instance(instance_key)
         if flat is not None:
-            return to_jobset(flat), flat, True
+            return None, flat, True
 
     build_flat = getattr(jobset_factory, "build_flat", None)
+    jobset = None
     if callable(build_flat):
         # Vectorized path: CSR arrays straight from the generator.
         flat = build_flat(jobset_seed)
-        jobset = to_jobset(flat)
     else:
         jobset = jobset_factory(jobset_seed)
         flat = flatten_jobset(jobset)
@@ -441,15 +425,14 @@ def _grid_sweep(
         bit-identical.  Lambda scheduler factories cannot cross process
         boundaries and run serially (with a one-time warning).
 
-        Cells with >= 4 cold repetitions of a batch-eligible
-        configuration (see :func:`repro.sim.batch_engine.batch_options`)
-        are fused into one task evaluating every rep in a single
-        :func:`~repro.sim.batch_engine.run_batch` arena -- bit-identical
-        per rep, so cache cells and aggregated means are unchanged;
-        only the wall time drops.  ``REPRO_BATCH=<n>`` adjusts the rep
-        floor, ``REPRO_BATCH=0`` disables batching; sweeps with a
-        ``cell_timeout`` stay unbatched so the deadline keeps covering
-        exactly one simulation.
+        The cold repetitions of every cell whose configuration
+        :mod:`repro.sim.dispatch` routes to the compiled kernel are
+        fused into one task evaluating them all in a single
+        :func:`~repro.sim.batch_engine.run_batch` arena, at any rep
+        count -- bit-identical per rep, so cache cells and aggregated
+        means are unchanged; only the wall time drops.  Sweeps with a
+        ``cell_timeout`` stay one simulation per task so the deadline
+        keeps covering exactly one simulation.
     cache:
         A :class:`~repro.experiments.cache.SweepCache`, a directory
         path, or None.  When set, generated instances (for factories
@@ -599,7 +582,7 @@ def _grid_sweep(
     # One instance per repetition, built (or cache-loaded) in the
     # parent.  The old design shipped `jobset_factory` into every task,
     # regenerating the *same* rep instance once per grid point.
-    rep_jobsets: List[JobSet] = []
+    rep_jobsets: List[Optional[JobSet]] = []
     rep_flats: List[FlatInstance] = []
     rep_hashes: List[str] = []
     for rep in range(reps):
@@ -768,20 +751,25 @@ def _grid_sweep(
                 shared = []
                 use_shm = False
 
-        def handle_for(rep: int):
-            return shared[rep].handle if use_shm else rep_jobsets[rep]
+        def handle_for(rep: int, flat_ok: bool = False):
+            if use_shm:
+                return shared[rep].handle
+            if flat_ok:
+                return rep_flats[rep]
+            if rep_jobsets[rep] is None:
+                rep_jobsets[rep] = to_jobset(rep_flats[rep])
+            return rep_jobsets[rep]
 
-        # Batched dispatch (ISSUE 10): when a grid point has enough cold
-        # repetitions and its scheduler is batch-eligible (see
-        # batch_options), fuse them into ONE task evaluating all reps in
-        # a single run_batch arena -- bit-identical per rep, so the
-        # cache cells written from a batched task are byte-identical to
-        # serial-rep cells.  Per-cell deadlines keep per-simulation
-        # semantics, so timed sweeps stay unbatched (a fused task would
+        # Fused dispatch: the cold repetitions of a grid point whose
+        # scheduler routes to the compiled kernel (repro.sim.dispatch)
+        # run as ONE task evaluating all reps in a single run_batch
+        # arena -- bit-identical per rep, so the cache cells written
+        # from a fused task are byte-identical to per-rep cells.
+        # Per-cell deadlines keep per-simulation semantics, so timed
+        # sweeps stay one simulation per task (a fused task would
         # silently get R simulations per deadline).
-        from repro.sim.batch_engine import batch_options
+        from repro.sim.dispatch import CEXT, _dispatch, scheduler_kwargs
 
-        batch_min = _batch_threshold()
         timeout_active = cell_timeout is not None or bool(
             os.environ.get("REPRO_CELL_TIMEOUT", "").strip()
         )
@@ -795,19 +783,20 @@ def _grid_sweep(
         for local_cell in sorted(cell_groups):
             idxs = cell_groups[local_cell]
             engine_kwargs = None
-            if (
-                batch_min is not None
-                and not timeout_active
-                and len(idxs) >= batch_min
-            ):
+            if not timeout_active:
                 try:
-                    engine_kwargs = batch_options(
+                    engine_kwargs = scheduler_kwargs(
                         scheduler_factory(**tasks[idxs[0]][0])
                     )
                 except Exception:
                     # A factory that fails in the parent will fail in
                     # the workers too; let the per-rep path surface it
                     # through the supervised executor's error handling.
+                    engine_kwargs = None
+                if (
+                    engine_kwargs is not None
+                    and _dispatch(None, **engine_kwargs)[0] != CEXT
+                ):
                     engine_kwargs = None
             if engine_kwargs is None:
                 for i in idxs:
@@ -839,7 +828,7 @@ def _grid_sweep(
                     "batch",
                     (
                         engine_kwargs,
-                        [handle_for(tasks[i][1]) for i in idxs],
+                        [handle_for(tasks[i][1], True) for i in idxs],
                         m,
                         speed,
                         [tasks[i][2] for i in idxs],
@@ -922,6 +911,8 @@ def _grid_sweep(
                     seed=tasks[i][2],
                     wall_s=rep_payload["wall_s"],
                     pid=rep_payload["pid"],
+                    engine=rep_payload["engine"],
+                    reason=rep_payload["reason"],
                     stats=rep_payload["stats"],
                     metrics=values,
                 )

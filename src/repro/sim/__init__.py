@@ -16,25 +16,25 @@ Two exact simulation engines drive every scheduler in :mod:`repro.core`:
   exactly those integer ticks, so runs are bit-reproducible for a given
   seed.
 
-:mod:`repro.sim.flat_engine` (``repro.run(..., engine="flat")``) is a
-vectorized reimplementation of the tick engine over
-:class:`~repro.dag.flat.FlatInstance` CSR state -- bit-identical
-results (the equivalence suite pins it), several times the throughput,
-and it consumes attached shared-memory instances directly in sweep
-workers.
+:mod:`repro.sim.flat_engine` is a pure-Python reimplementation of the
+tick engine over :class:`~repro.dag.flat.FlatInstance` CSR state --
+bit-identical results (the equivalence suite pins it) -- and the core
+of the streaming engine below.
 
 :mod:`repro.sim.stream_engine` (``repro.run("flat", stream=...)``)
 re-bases the flat kernel onto a sliding window over a lazy arrival
 stream: bounded memory, online metrics, durable checkpoint/restore
 (:mod:`repro.sim.checkpoint`) -- same max flow time, bit for bit.
 
-:mod:`repro.sim.batch_engine` (:func:`~repro.sim.batch_engine.run_batch`,
-``repro.run(..., engine="batch")``) evaluates R replicate instances in
-one block-structured arena behind an optional on-demand-compiled C
-kernel -- bit-identical per rep to R serial flat runs (same schedules,
-stats, and RNG post-state); the sweep layer batches eligible multi-rep
-cells through it automatically (``REPRO_BATCH`` / ``REPRO_CEXT``
-override).
+:mod:`repro.sim.batch_engine` (:func:`~repro.sim.batch_engine.run_batch`)
+evaluates R replicate instances in one block-structured arena behind an
+optional on-demand-compiled C kernel -- bit-identical per rep to R
+serial reference runs (same schedules, stats, and RNG post-state).
+:mod:`repro.sim.dispatch` is the one place that chooses between that
+kernel and the reference engine: every eligible work-stealing run
+(``WorkStealingScheduler.run``, ``repro.run``, sweep cells, figure
+runners) goes to the kernel at any replicate count, everything else to
+the reference engine (``REPRO_CEXT=0`` forces the reference).
 
 Shared pieces: :class:`~repro.sim.result.ScheduleResult` (the output of
 every engine), :class:`~repro.sim.jobstate.JobExecution` (mutable per-job
@@ -74,7 +74,7 @@ from repro.sim.checkpoint import (
     save_checkpoint,
 )
 from repro.sim.sampling import SystemSample, SystemSampler
-from repro.sim.batch_engine import batch_options, run_batch
+from repro.sim.batch_engine import run_batch
 from repro.sim.stream_engine import StreamResult
 from repro.sim.timeline import job_symbol, render_timeline, worker_utilization
 
@@ -91,7 +91,6 @@ __all__ = [
     "SystemSampler",
     "StreamResult",
     "run_batch",
-    "batch_options",
     "save_checkpoint",
     "load_checkpoint",
     "list_checkpoints",

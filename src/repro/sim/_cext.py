@@ -7,10 +7,10 @@ backend is required: the source ships with the package and is compiled
 once per host with the system C compiler (``cc`` / ``gcc`` / ``clang``)
 into a content-addressed shared object under a per-user cache
 directory, then loaded with :mod:`ctypes`.  Hosts without a compiler --
-or with ``REPRO_CEXT=0`` -- simply run the pure-Python flat kernel per
-replicate instead; results are bit-identical either way, which is the
-same optional-accelerator contract as the flat kernel's ``REPRO_NUMBA``
-scanner.
+or with ``REPRO_CEXT=0`` -- run the pure-Python reference engine instead
+(:mod:`repro.sim.dispatch`; direct :func:`~repro.sim.batch_engine.run_batch`
+calls use the flat kernel per replicate); results are bit-identical
+either way.
 
 Environment override ``REPRO_CEXT``: ``0`` disables the compiled kernel
 even when a compiler exists, ``1`` requests it and emits a one-time
@@ -50,6 +50,8 @@ _KERNEL_SOURCE = Path(__file__).with_name("_batch_kernel.c")
 _cext_fn: Any = None
 _cext_resolved = False
 _cext_warned = False
+#: Why the last resolution left the kernel unavailable (None when loaded).
+_cext_error: Optional[str] = None
 
 
 def _cache_dir() -> Path:
@@ -131,27 +133,43 @@ def resolve_batch_kernel() -> Any:
     (RuntimeWarning) when it cannot be built, unset auto-detects
     silently.
     """
-    global _cext_fn, _cext_resolved, _cext_warned
+    global _cext_fn, _cext_resolved, _cext_warned, _cext_error
     if _cext_resolved:
         return _cext_fn
     pref = os.environ.get("REPRO_CEXT", "").strip()
     if pref == "0":
+        _cext_fn = None
+        _cext_error = "REPRO_CEXT=0"
         _cext_resolved = True
         return None
+    _cext_error = None
     try:
         _cext_fn = _build_and_load()
     except Exception as exc:
+        _cext_error = (
+            f"C kernel unavailable ({type(exc).__name__}: {exc})"
+        )
         if pref == "1" and not _cext_warned:
             _cext_warned = True
             warnings.warn(
                 f"REPRO_CEXT=1 requested the compiled batch kernel, but "
                 f"it could not be built or loaded "
                 f"({type(exc).__name__}: {exc}); falling back to the "
-                f"per-replicate flat kernel (results are identical, "
-                f"only slower)",
+                f"Python engines (results are identical, only slower)",
                 RuntimeWarning,
                 stacklevel=3,
             )
         _cext_fn = None
     _cext_resolved = True
     return _cext_fn
+
+
+def kernel_unavailable_reason() -> Optional[str]:
+    """Why the compiled kernel cannot run here, or ``None`` when it can.
+
+    Resolves the kernel (cached per process) first; the reason is
+    ``"REPRO_CEXT=0"`` or names the build/load error.
+    """
+    if resolve_batch_kernel() is not None:
+        return None
+    return _cext_error or "C kernel unavailable"

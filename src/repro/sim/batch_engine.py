@@ -24,7 +24,7 @@ module batches the replicates instead:
   post-run ``PCG64`` state is bit-identical to serial execution, not
   merely the victim sequence.
 * **Bit-identity.**  Results are identical per rep to running
-  ``engine="flat"`` R times: same completions, same
+  the flat kernel (``_run_flat``) R times: same completions, same
   :class:`~repro.sim.result.SimulationStats`, same RNG post-state
   (``tests/sim/test_batch_engine.py`` fuzzes this).  Configurations
   outside the kernel's native scope -- non-uniform victim policies,
@@ -33,9 +33,9 @@ module batches the replicates instead:
   the per-replicate flat kernel (which itself delegates to the
   reference engine where needed), as does any host without a C
   compiler or with ``REPRO_CEXT=0``.
-* :func:`batch_options` is the eligibility probe the sweep layer uses
-  to decide whether a scheduler's (cell, rep) tasks may be fused into
-  one batched task (see :mod:`repro.experiments.sweep`).
+* :mod:`repro.sim.dispatch` decides which runs reach this module: every
+  eligible work-stealing run, at any replicate count (a single run is
+  ``run_batch([instance])``), and the sweep layer's fused cells.
 
 Telemetry: with a sink attached, :func:`run_batch` emits
 ``batch.start`` (plan: rep count, kernel path), per-replicate
@@ -54,12 +54,13 @@ import numpy as np
 from repro.dag.flat import FlatInstance, flatten_jobset
 from repro.dag.job import JobSet
 from repro.sim._cext import BLOCK, REFILL_CFUNC, resolve_batch_kernel
+from repro.sim.dispatch import config_reasons
 from repro.sim.engine import _scheduler_label
 from repro.sim.flat_engine import _IDLE_AT, _run_flat
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.rng import SeedLike, make_rng
 
-__all__ = ["run_batch", "batch_options"]
+__all__ = ["run_batch"]
 
 
 class _BatchTables:
@@ -74,7 +75,7 @@ class _BatchTables:
     """
 
     __slots__ = (
-        "flats",
+        "arrivals",
         "node_off",
         "job_off",
         "works",
@@ -105,25 +106,16 @@ class _BatchTables:
         np.cumsum(n_edges, out=edge_off[1:])
         total_nodes = int(node_off[-1])
         total_jobs = int(job_off[-1])
-        total_edges = int(edge_off[-1])
 
-        works = np.concatenate(
-            [f.node_works for f in flats] or [np.zeros(0, np.int64)]
-        ).astype(np.int64, copy=False)
-        eo = np.empty(total_nodes + 1, dtype=np.int64)
-        eo[-1] = total_edges
-        for r, f in enumerate(flats):
-            eo[node_off[r] : node_off[r + 1]] = (
-                f.edge_offsets[:-1] + edge_off[r]
-            )
-        et = np.empty(total_edges, dtype=np.int64)
-        for r, f in enumerate(flats):
-            et[edge_off[r] : edge_off[r + 1]] = f.edge_targets + node_off[r]
-        jno = np.empty(total_jobs + 1, dtype=np.int64)
-        jno[-1] = total_nodes
-        for r, f in enumerate(flats):
-            jno[job_off[r] : job_off[r + 1]] = (
-                f.job_node_offsets[:-1] + node_off[r]
+        if reps == 1:
+            # A single instance already is its own arena: the kernel
+            # only reads these arrays, so use them without copying.
+            (only,) = flats
+            works, eo = only.node_works, only.edge_offsets
+            et, jno = only.edge_targets, only.job_node_offsets
+        else:
+            works, eo, et, jno = _concat_csr(
+                flats, node_off, job_off, edge_off
             )
 
         # Derived tables, one vectorized pass over the union -- the
@@ -141,7 +133,9 @@ class _BatchTables:
         roots = np.flatnonzero(indeg == 0).astype(np.int64, copy=False)
         job_sizes = np.diff(jno)
 
-        self.flats = tuple(flats)
+        self.arrivals = np.concatenate(
+            [np.asarray(f.arrivals, dtype=np.float64) for f in flats]
+        )
         self.node_off = node_off
         self.job_off = job_off
         self.works = np.ascontiguousarray(works)
@@ -170,29 +164,55 @@ class _BatchTables:
     def arr_ticks(self, speed: float) -> np.ndarray:
         ticks = self.arr_cache.get(speed)
         if ticks is None:
-            arr = np.concatenate(
-                [np.asarray(f.arrivals, dtype=np.float64) for f in self.flats]
-                or [np.zeros(0, np.float64)]
-            )
-            ticks = np.ceil(arr * speed - 1e-9).astype(np.int64)
+            ticks = np.ceil(self.arrivals * speed - 1e-9).astype(np.int64)
             self.arr_cache[speed] = ticks
         return ticks
+
+
+def _concat_csr(
+    flats: Sequence[FlatInstance],
+    node_off: np.ndarray,
+    job_off: np.ndarray,
+    edge_off: np.ndarray,
+) -> tuple:
+    """``(works, eo, et, jno)`` of the replicates on one global id space."""
+    total_nodes = int(node_off[-1])
+    total_jobs = int(job_off[-1])
+    total_edges = int(edge_off[-1])
+    works = np.concatenate([f.node_works for f in flats])
+    eo = np.empty(total_nodes + 1, dtype=np.int64)
+    eo[-1] = total_edges
+    for r, f in enumerate(flats):
+        eo[node_off[r] : node_off[r + 1]] = f.edge_offsets[:-1] + edge_off[r]
+    et = np.empty(total_edges, dtype=np.int64)
+    for r, f in enumerate(flats):
+        et[edge_off[r] : edge_off[r + 1]] = f.edge_targets + node_off[r]
+    jno = np.empty(total_jobs + 1, dtype=np.int64)
+    jno[-1] = total_nodes
+    for r, f in enumerate(flats):
+        jno[job_off[r] : job_off[r + 1]] = (
+            f.job_node_offsets[:-1] + node_off[r]
+        )
+    return works, eo, et, jno
 
 
 def _batch_tables(flats: Sequence[FlatInstance]) -> _BatchTables:
     """Cached :class:`_BatchTables` for this exact replicate tuple.
 
     Attached to the first instance (like the flat kernel's per-instance
-    table cache); the entry holds strong references to every member, so
-    the id-tuple key cannot alias a recycled object.
+    table cache); the entry holds strong references to every other
+    member, so the id-tuple key cannot alias a recycled object.  Nothing
+    in the entry refers back to the anchor, so a single instance's
+    tables are freed with it, by reference counting alone.
     """
     key = tuple(id(f) for f in flats)
     anchor = flats[0]
     cached = getattr(anchor, "_batch_tables_cache", None)
     if cached is not None and cached[0] == key:
-        return cached[1]
+        return cached[2]
     tables = _BatchTables(flats)
-    object.__setattr__(anchor, "_batch_tables_cache", (key, tables))
+    others = tuple(f for f in flats if f is not anchor)
+    object.__setattr__(anchor, "_batch_tables_cache", (key, others, tables))
     return tables
 
 
@@ -288,14 +308,8 @@ def run_batch(
     ]
 
     kernel = resolve_batch_kernel()
-    native = (
-        kernel is not None
-        and victim_policy == "uniform"
-        and not steal_half
-        and admission == "fifo"
-        and trace is None
-        and sampler is None
-        and _fast_forward
+    native = kernel is not None and not config_reasons(
+        victim_policy, steal_half, admission, trace, sampler, _fast_forward
     )
 
     def fallback(r: int) -> ScheduleResult:
@@ -482,50 +496,3 @@ def run_batch(
             kernel="cext",
         )
     return results  # type: ignore[return-value]
-
-
-def batch_options(scheduler: Any) -> Optional[Dict[str, Any]]:
-    """Engine kwargs for :func:`run_batch` if ``scheduler`` is batchable.
-
-    The sweep layer calls this on one probe instance per grid point to
-    decide whether that cell's (rep) tasks may be fused into a single
-    batched task.  Batchable means the scheduler is a plain engine
-    adapter (``repro.run``'s ``work-stealing`` / ``flat`` / ``batch``
-    engines) or an unmodified
-    :class:`~repro.core.work_stealing.WorkStealingScheduler`, with every
-    knob inside the batch kernel's native scope -- for those, all three
-    execution paths (reference, flat, batch) are pinned bit-identical,
-    so fusing reps cannot change any number.  Returns ``None`` for
-    anything else (custom schedulers, subclasses overriding ``run``,
-    weighted admission, non-uniform victim policies, ``steal_half``,
-    traces, samplers).
-    """
-    engine = getattr(scheduler, "engine", None)
-    if engine in ("work-stealing", "flat", "batch"):
-        kwargs = dict(getattr(scheduler, "engine_kwargs", None) or {})
-    else:
-        from repro.core.work_stealing import WorkStealingScheduler
-
-        if (
-            isinstance(scheduler, WorkStealingScheduler)
-            and type(scheduler).run is WorkStealingScheduler.run
-        ):
-            kwargs = {
-                "k": scheduler.k,
-                "steals_per_tick": scheduler.steals_per_tick,
-                "victim_policy": scheduler.victim_policy,
-                "steal_half": scheduler.steal_half,
-                "admission": scheduler.admission,
-            }
-        else:
-            return None
-    if (
-        kwargs.get("victim_policy", "uniform") != "uniform"
-        or kwargs.get("steal_half", False)
-        or kwargs.get("admission", "fifo") != "fifo"
-        or kwargs.get("trace") is not None
-        or kwargs.get("sampler") is not None
-        or not kwargs.get("_fast_forward", True)
-    ):
-        return None
-    return kwargs

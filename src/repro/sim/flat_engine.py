@@ -1,13 +1,16 @@
-"""Flat-CSR tick kernel: the ``engine="flat"`` backend (ISSUE 6).
+"""Flat-CSR tick kernel in pure Python (ISSUE 6).
 
 Replays the reference tick engine (:func:`repro.sim.engine._run_work_stealing`)
 bit-identically -- same completions, same :class:`SimulationStats`
 counters, same victim-RNG draw sequence -- while advancing the
 simulation over :class:`~repro.dag.flat.FlatInstance` CSR arrays instead
-of the ``JobExecution`` object graph.  The kernel therefore consumes the
-shared-memory wire format directly: sweep workers run it on attached
-buffers with no ``to_jobset()`` round trip and no per-run object
-construction.
+of the ``JobExecution`` object graph.  ``repro.run("flat", ...)`` no
+longer reaches it: every materialized work-stealing run goes through
+:mod:`repro.sim.dispatch` (the compiled kernel or the reference
+engine).  This kernel remains the core of the streaming engine
+(:mod:`repro.sim.stream_engine`) and the per-replicate fallback of
+direct :func:`~repro.sim.batch_engine.run_batch` calls on hosts without
+the compiled kernel.
 
 Where the speed comes from
 --------------------------
@@ -85,6 +88,7 @@ import numpy as np
 
 from repro.dag.flat import FlatInstance, flatten_jobset, to_jobset
 from repro.dag.job import JobSet
+from repro.sim.dispatch import config_reasons
 from repro.sim.engine import _run_work_stealing, _scheduler_label
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.rng import SeedLike, make_rng
@@ -164,31 +168,6 @@ def _resolve_numba_scan() -> Any:
 _SLOW_PATH_WARNED = False
 
 
-def _slow_path_reasons(
-    victim_policy: str,
-    steal_half: bool,
-    admission: str,
-    trace: Any,
-) -> tuple:
-    """The configuration knobs forcing delegation to the reference engine.
-
-    Only *configuration* choices are listed (the things a caller can
-    change); data-shape fallbacks such as unsorted hand-built arrivals
-    are not counted -- they are a property of the instance, not of the
-    config.
-    """
-    reasons = []
-    if victim_policy != "uniform":
-        reasons.append(f"victim_policy={victim_policy!r}")
-    if steal_half:
-        reasons.append("steal_half=True")
-    if admission != "fifo":
-        reasons.append(f"admission={admission!r}")
-    if trace is not None:
-        reasons.append("trace=<TraceRecorder>")
-    return tuple(reasons)
-
-
 def _warn_slow_path(reasons: tuple) -> None:
     """One-time RuntimeWarning when a config falls off the flat kernel.
 
@@ -196,9 +175,9 @@ def _warn_slow_path(reasons: tuple) -> None:
     this warning the fallback was silent and a sweep that looked
     mysteriously slow gave no hint why.  Warned once per process (like
     the REPRO_NUMBA resolution warning); the paired
-    ``dispatch.slow_path`` telemetry event (emitted by the
-    :func:`repro.run` facade and the sweep dispatcher) records every
-    occurrence for machine consumption.
+    ``dispatch.slow_path`` telemetry event (emitted by
+    :mod:`repro.sim.dispatch`) records reference-routed runs for
+    machine consumption.
     """
     global _SLOW_PATH_WARNED
     if _SLOW_PATH_WARNED or not reasons:
@@ -409,7 +388,7 @@ def _run_flat(
         or not arrivals_sorted
     ):
         _warn_slow_path(
-            _slow_path_reasons(victim_policy, steal_half, admission, trace)
+            config_reasons(victim_policy, steal_half, admission, trace)
         )
         return _run_work_stealing(
             jobset if jobset is not None else to_jobset(flat),

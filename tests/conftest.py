@@ -7,6 +7,8 @@ cross-scheduler invariant checks.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,45 @@ from repro.dag.builders import (
 from repro.dag.job import Job, JobSet, jobs_from_dags
 from repro.workloads.distributions import BingDistribution
 from repro.workloads.generator import WorkloadSpec
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _hermetic_cache(tmp_path_factory):
+    """Point the default sweep cache at a session temp dir.
+
+    Sweeps, figures and ablations without an explicit ``cache=`` fall
+    back to ``REPRO_CACHE`` and then to ``./.repro_cache``; the suite
+    must never write into the working tree.
+    """
+    previous = os.environ.get("REPRO_CACHE")
+    os.environ["REPRO_CACHE"] = str(tmp_path_factory.mktemp("repro_cache"))
+    yield
+    if previous is None:
+        os.environ.pop("REPRO_CACHE", None)
+    else:
+        os.environ["REPRO_CACHE"] = previous
+
+
+def use_reference_engine(mp) -> None:
+    """Force dispatched runs onto the reference engine, through ``mp``.
+
+    Sets ``REPRO_CEXT=0`` and clears the per-process kernel resolution
+    (a ``MonkeyPatch`` restores both), so :mod:`repro.sim.dispatch`
+    routes each work-stealing run to
+    :func:`repro.sim.engine._run_work_stealing`.
+    """
+    from repro.sim import _cext
+
+    mp.setenv("REPRO_CEXT", "0")
+    mp.setattr(_cext, "_cext_fn", None)
+    mp.setattr(_cext, "_cext_resolved", False)
+    mp.setattr(_cext, "_cext_error", None)
+
+
+@pytest.fixture
+def reference_engine(monkeypatch):
+    """The whole test runs with :func:`use_reference_engine` applied."""
+    use_reference_engine(monkeypatch)
 
 
 @pytest.fixture

@@ -302,7 +302,11 @@ class TestRecoveryBitIdentical:
         retry + respawn with bit-identical results, no leaked shared
         memory, and telemetry recording every recovery action."""
         before = shm_entries()
-        faults("kill:cell:index=1;hang:cell:index=3:seconds=20")
+        # The hang may fire twice: cells are fast enough that task 3 can
+        # start hanging before the pool notices the kill, and the
+        # respawn then ends that first hang before its deadline; the
+        # retry must still hang past the deadline.
+        faults("kill:cell:index=1;hang:cell:index=3:seconds=20:times=2")
         tel = Telemetry()
         assert (
             disturbed_cells(telemetry=tel, cell_timeout=2.0, retries=4)
@@ -403,9 +407,11 @@ class TestExhaustionAndResume:
             disturbed_cells(
                 max_workers=1, retries=1, cache=cache, resume=True
             )
-        # The serial loop completed (and checkpointed) cells 0..2
-        # before cell 3 exhausted its budget.
-        assert cache.stats()["cells"] == 3
+        # Each grid point's two reps run as one fused kernel task, so
+        # the serial loop completed (and checkpointed) grid point 0
+        # (cells 0, 1) before the task holding cell 3 exhausted its
+        # budget; cell 2 shares that task and is lost with it.
+        assert cache.stats()["cells"] == 2
 
         faults("")  # disarm; rerun clean with resume
         tel = Telemetry()
@@ -415,8 +421,8 @@ class TestExhaustionAndResume:
             )
             == reference_cells()
         )
-        assert len(events_of(tel, "cell.cached")) == 3
-        assert len(events_of(tel, "cell.run")) == 3
+        assert len(events_of(tel, "cell.cached")) == 2
+        assert len(events_of(tel, "cell.run")) == 4
         assert audit_events(tel.events) == []
 
     def test_checkpoints_flush_during_the_batch(self, faults, tmp_path):

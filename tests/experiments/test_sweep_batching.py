@@ -1,13 +1,13 @@
-"""Sweep-layer replicate batching: fused cells vs the per-rep path.
+"""Sweep-layer replicate batching: fused cells vs the reference engine.
 
-ISSUE 10 wires :func:`repro.sim.batch_engine.run_batch` in as the
-default rep-evaluation strategy for cold sweep cells with >= 4 reps of
-a batch-eligible scheduler.  The contract is *bit-identity*: a batched
-sweep must produce the same :class:`SweepResult` -- and byte-identical
-cache cell files -- as the same sweep with ``REPRO_BATCH=0``.  These
-tests pin that, plus the knobs (threshold, env parsing, cell_timeout
-exclusion) and the ``batch.*`` telemetry, and the figure-runner's use
-of the same machinery.
+Every cold sweep cell whose configuration :mod:`repro.sim.dispatch`
+routes to the compiled kernel is fused into one
+:func:`repro.sim.batch_engine.run_batch` task, at any rep count.  The
+contract is *bit-identity*: a fused sweep must produce the same
+:class:`SweepResult` -- and byte-identical cache cell files -- as the
+same sweep on the reference engine (``REPRO_CEXT=0``).  These tests pin
+that at R=1, R=2 and R=5, plus the ``cell_timeout`` exclusion, the
+``batch.*`` telemetry, and the figure runner.
 """
 
 import hashlib
@@ -23,13 +23,17 @@ from repro.core.work_stealing import (
 from repro.dag.builders import single_node
 from repro.dag.job import jobs_from_dags
 from repro.experiments.config import FIG2A, ExperimentScale
-from repro.experiments.sweep import (
-    SweepConfigError,
-    _batch_threshold,
-    _grid_sweep as grid_sweep,
-)
+from repro.experiments.sweep import _grid_sweep as grid_sweep
 from repro.obs.telemetry import Telemetry
+from repro.sim import _cext
 from repro.sim.rng import make_rng
+from tests.conftest import use_reference_engine
+
+#: Fusion only exists where the compiled kernel does.
+needs_kernel = pytest.mark.skipif(
+    _cext.kernel_unavailable_reason() is not None,
+    reason="no compiled kernel on this host: cells never fuse",
+)
 
 
 def tiny_jobset_factory(rep_seed):
@@ -44,11 +48,7 @@ def tiny_jobset_factory(rep_seed):
 GRID = {"k": [0, 2], "steals_per_tick": [1, 8]}
 
 
-def run_sweep(monkeypatch, batch_env, cache_dir=None, telemetry=None, **kw):
-    if batch_env is None:
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_BATCH", batch_env)
+def run_sweep(cache_dir=None, telemetry=None, **kw):
     return grid_sweep(
         lambda k, steals_per_tick: WorkStealingScheduler(
             k=k, steals_per_tick=steals_per_tick
@@ -80,17 +80,25 @@ def batch_events(tel):
     return [e for e in tel.events if e["event"].startswith("batch.")]
 
 
+def fused_vs_reference(monkeypatch, tmp_path, reps, telemetry=None):
+    """The same sweep fused (default) and on the reference engine."""
+    fused = run_sweep(
+        cache_dir=tmp_path / "fused", telemetry=telemetry, reps=reps
+    )
+    with monkeypatch.context() as mp:
+        use_reference_engine(mp)
+        reference = run_sweep(cache_dir=tmp_path / "ref", reps=reps)
+    assert_same_result(fused, reference)
+    assert cell_file_hashes(tmp_path / "fused") == cell_file_hashes(
+        tmp_path / "ref"
+    )
+    return fused
+
+
+@needs_kernel
 def test_batched_sweep_identical_and_cache_bytes_equal(monkeypatch, tmp_path):
     tel = Telemetry()
-    batched = run_sweep(
-        monkeypatch, None, cache_dir=tmp_path / "b", telemetry=tel
-    )
-    serial = run_sweep(monkeypatch, "0", cache_dir=tmp_path / "s")
-    assert_same_result(batched, serial)
-
-    b_hashes = cell_file_hashes(tmp_path / "b")
-    s_hashes = cell_file_hashes(tmp_path / "s")
-    assert b_hashes == s_hashes
+    fused_vs_reference(monkeypatch, tmp_path, reps=5, telemetry=tel)
 
     events = batch_events(tel)
     kinds = [e["event"] for e in events]
@@ -103,51 +111,52 @@ def test_batched_sweep_identical_and_cache_bytes_equal(monkeypatch, tmp_path):
     assert done["n_unbatched"] == 0
 
 
-def test_disabled_env_emits_no_batch_events(monkeypatch):
+@needs_kernel
+def test_fused_r1_cache_bytes_equal(monkeypatch, tmp_path):
+    """One rep per cell still fuses, with byte-identical cache cells."""
     tel = Telemetry()
-    run_sweep(monkeypatch, "0", telemetry=tel)
+    fused_vs_reference(monkeypatch, tmp_path, reps=1, telemetry=tel)
+    assert batch_events(tel)[-1]["n_batched_reps"] == 4
+
+
+@needs_kernel
+def test_fused_r2_cache_bytes_equal(monkeypatch, tmp_path):
+    tel = Telemetry()
+    fused_vs_reference(monkeypatch, tmp_path, reps=2, telemetry=tel)
+    assert batch_events(tel)[-1]["n_batched_reps"] == 8
+
+
+def test_disabled_env_emits_no_batch_events(reference_engine):
+    """REPRO_CEXT=0 routes every cell to the reference engine, per rep."""
+    tel = Telemetry()
+    run_sweep(telemetry=tel)
     assert batch_events(tel) == []
+    runs = [e for e in tel.events if e["event"] == "cell.run"]
+    assert {(e["engine"], e["reason"]) for e in runs} == {
+        ("reference", "REPRO_CEXT=0")
+    }
 
 
-def test_below_threshold_runs_per_rep(monkeypatch):
+@needs_kernel
+def test_cell_run_records_the_kernel_route():
     tel = Telemetry()
-    run_sweep(monkeypatch, None, telemetry=tel, reps=3)  # < default floor 4
+    run_sweep(telemetry=tel, reps=1)
+    runs = [e for e in tel.events if e["event"] == "cell.run"]
+    assert len(runs) == 4
+    assert {(e["engine"], e["reason"]) for e in runs} == {
+        ("cext", "native scope")
+    }
+
+
+def test_cell_timeout_disables_batching():
+    tel = Telemetry()
+    timed = run_sweep(telemetry=tel, cell_timeout=120.0)
     assert batch_events(tel) == []
-
-
-def test_custom_threshold_env(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "2")
-    assert _batch_threshold() == 2
-    monkeypatch.setenv("REPRO_BATCH", "7")
-    assert _batch_threshold() == 7
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    assert _batch_threshold() == 2  # floor: a batch of 1 is pointless
-    monkeypatch.setenv("REPRO_BATCH", "off")
-    assert _batch_threshold() is None
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    assert _batch_threshold() == 4
-
-    tel = Telemetry()
-    run_sweep(monkeypatch, "3", telemetry=tel, reps=3)
-    assert [e["event"] for e in batch_events(tel)][0] == "batch.start"
-
-
-def test_invalid_env_raises(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "soon")
-    with pytest.raises(SweepConfigError, match="REPRO_BATCH"):
-        _batch_threshold()
-
-
-def test_cell_timeout_disables_batching(monkeypatch):
-    tel = Telemetry()
-    timed = run_sweep(monkeypatch, None, telemetry=tel, cell_timeout=120.0)
-    assert batch_events(tel) == []
-    plain = run_sweep(monkeypatch, None)
+    plain = run_sweep()
     assert_same_result(timed, plain)
 
 
-def test_ineligible_scheduler_runs_per_rep(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
+def test_ineligible_scheduler_runs_per_rep():
     tel = Telemetry()
     sweep = grid_sweep(
         lambda k: WeightedWorkStealingScheduler(k=k),
@@ -160,25 +169,27 @@ def test_ineligible_scheduler_runs_per_rep(monkeypatch):
     )
     assert batch_events(tel) == []
     assert len(sweep.cells) == 2
+    runs = [e for e in tel.events if e["event"] == "cell.run"]
+    assert {e["engine"] for e in runs} == {"reference"}
+    assert {e["reason"] for e in runs} == {"admission='weight'"}
 
 
 def test_resume_from_serial_cache(monkeypatch, tmp_path):
-    """A batched sweep resumes cleanly over serially-written cells."""
-    serial = run_sweep(
-        monkeypatch, "0", cache_dir=tmp_path / "c", resume=True
-    )
-    batched = run_sweep(
-        monkeypatch, None, cache_dir=tmp_path / "c", resume=True
-    )
-    assert_same_result(serial, batched)
+    """A fused sweep resumes cleanly over reference-written cells."""
+    with monkeypatch.context() as mp:
+        use_reference_engine(mp)
+        reference = run_sweep(cache_dir=tmp_path / "c", resume=True)
+    fused = run_sweep(cache_dir=tmp_path / "c", resume=True)
+    assert_same_result(reference, fused)
+    assert fused.n_cold == 0
 
 
 def test_figure_runner_batched_matches_serial(monkeypatch):
     from repro.experiments.runner import run_figure2_cell
 
     scale = ExperimentScale(n_jobs=40, reps=4)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    batched = run_figure2_cell(FIG2A, qps=500.0, scale=scale, seed=3)
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    serial = run_figure2_cell(FIG2A, qps=500.0, scale=scale, seed=3)
-    assert batched == serial
+    fused = run_figure2_cell(FIG2A, qps=500.0, scale=scale, seed=3)
+    with monkeypatch.context() as mp:
+        use_reference_engine(mp)
+        reference = run_figure2_cell(FIG2A, qps=500.0, scale=scale, seed=3)
+    assert fused == reference

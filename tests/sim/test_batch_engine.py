@@ -29,8 +29,8 @@ import repro
 from repro.dag.builders import chain, single_node
 from repro.dag.flat import flatten_jobset
 from repro.dag.job import jobs_from_dags
-from repro.sim import _cext, batch_engine, flat_engine
-from repro.sim.batch_engine import batch_options, run_batch
+from repro.sim import _cext, batch_engine, dispatch, flat_engine
+from repro.sim.batch_engine import run_batch
 from repro.sim.flat_engine import _run_flat
 from repro.sim.rng import derive_seed
 from repro.workloads import (
@@ -41,6 +41,7 @@ from repro.workloads import (
     adversarial_instance,
 )
 
+from tests.conftest import use_reference_engine
 from tests.sim.test_flat_kernel_equivalence import (
     assert_identical,
     random_instance,
@@ -310,8 +311,17 @@ def test_kernel_is_actually_loaded_here():
 
 
 # ----------------------------------------------------------------------
-# batch_options eligibility probe
+# Kernel eligibility probe (the former batch_options, now the dispatcher)
 # ----------------------------------------------------------------------
+
+
+def batch_options(scheduler):
+    """The sweep's fusion probe: a scheduler's engine knobs when
+    :mod:`repro.sim.dispatch` routes its configuration to the kernel."""
+    kwargs = dispatch.scheduler_kwargs(scheduler)
+    if kwargs is None or dispatch._dispatch(None, **kwargs)[0] != "cext":
+        return None
+    return kwargs
 
 
 def test_batch_options_accepts_plain_work_stealing():
@@ -370,7 +380,7 @@ def test_batch_options_accepts_engine_adapters():
 def test_run_facade_batch_engine():
     spec = WorkloadSpec(BingDistribution(), qps=800.0, n_jobs=40, m=4)
     jobset = spec.build(seed=2)
-    flat = repro.run("flat", jobset, m=4, seed=1, k=2, steals_per_tick=8)
+    flat = _run_flat(jobset, m=4, seed=1, k=2, steals_per_tick=8)
     batch = repro.run("batch", jobset, m=4, seed=1, k=2, steals_per_tick=8)
     assert_identical(flat, batch)
     batch2 = repro.run(
@@ -385,10 +395,14 @@ def test_batch_engine_is_registered():
     assert "batch" in ENGINE_NAMES
 
 
-def test_sweep_facade_batch_engine_matches_flat():
+def test_sweep_facade_batch_engine_matches_flat(monkeypatch):
     spec = WorkloadSpec(BingDistribution(), qps=800.0, n_jobs=30, m=4)
     grid = {"k": [0, 4]}
-    flat = repro.sweep("flat", grid, spec, m=4, reps=2, seed=11, max_workers=1)
+    with monkeypatch.context() as mp:
+        use_reference_engine(mp)  # the oracle side
+        flat = repro.sweep(
+            "flat", grid, spec, m=4, reps=2, seed=11, max_workers=1
+        )
     batch = repro.sweep(
         "batch", grid, spec, m=4, reps=2, seed=11, max_workers=1
     )
@@ -445,13 +459,15 @@ def test_run_facade_emits_dispatch_slow_path(monkeypatch):
 
 
 def test_slow_path_reasons_vocabulary():
-    reasons = flat_engine._slow_path_reasons(
-        "max-deque", True, "weight", object()
+    reasons = dispatch.config_reasons(
+        "max-deque", True, "weight", object(), object(), False
     )
     assert reasons == (
         "victim_policy='max-deque'",
         "steal_half=True",
         "admission='weight'",
         "trace=<TraceRecorder>",
+        "sampler=<SystemSampler>",
+        "_fast_forward=False",
     )
-    assert flat_engine._slow_path_reasons("uniform", False, "fifo", None) == ()
+    assert dispatch.config_reasons("uniform", False, "fifo", None) == ()

@@ -44,6 +44,7 @@ from repro.workloads import (
     WorkloadSpec,
     adversarial_instance,
 )
+from tests.conftest import use_reference_engine
 
 
 def random_instance(seed, n_jobs=6, gap_scale=4.0):
@@ -252,7 +253,7 @@ def test_max_ticks_overload_error_matches():
 def test_run_facade_flat_engine():
     spec = WorkloadSpec(BingDistribution(), qps=800.0, n_jobs=40, m=4)
     jobset = spec.build(seed=2)
-    ref = repro.run("work-stealing", jobset, m=4, seed=1, k=2, steals_per_tick=8)
+    ref = _run_work_stealing(jobset, m=4, seed=1, k=2, steals_per_tick=8)
     flat = repro.run("flat", jobset, m=4, seed=1, k=2, steals_per_tick=8)
     assert_identical(ref, flat)
     # The facade also takes the CSR instance directly.
@@ -274,12 +275,14 @@ def test_run_facade_unknown_engine_lists_names():
     assert "flat" in msg
 
 
-def test_sweep_facade_flat_matches_reference():
+def test_sweep_facade_flat_matches_reference(monkeypatch):
     spec = WorkloadSpec(BingDistribution(), qps=800.0, n_jobs=30, m=4)
     grid = {"k": [0, 4], "steals_per_tick": [1, 8]}
-    ref = repro.sweep(
-        "work-stealing", grid, spec, m=4, reps=2, seed=11, max_workers=1
-    )
+    with monkeypatch.context() as mp:
+        use_reference_engine(mp)  # the oracle side
+        ref = repro.sweep(
+            "work-stealing", grid, spec, m=4, reps=2, seed=11, max_workers=1
+        )
     flat = repro.sweep("flat", grid, spec, m=4, reps=2, seed=11, max_workers=1)
     assert [(c.params, c.metrics) for c in ref.cells] == [
         (c.params, c.metrics) for c in flat.cells

@@ -31,7 +31,7 @@ run inside a fixed RSS budget).
 minimum on a *derived* cross-benchmark ratio of the current report
 (the ``derived`` section written by ``tools/bench_report.py``).  This
 is how ISSUE 6's flat-kernel speedup is pinned: the
-``flat_vs_reference_*`` ratios divide the ``engine="flat"`` throughput
+``flat_vs_reference_*`` ratios divide the flat kernel's (``_run_flat``) throughput
 by the reference tick engine's on the identical configuration, and
 ``--min-derived flat_vs_reference_contention:5`` fails CI if the
 contention-regime speedup ever drops below 5x.

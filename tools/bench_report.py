@@ -72,7 +72,7 @@ DERIVED_RATIOS = {
         "test_flatten_jobset_cached",
         "test_flatten_jobset",
     ),
-    # engine="flat" vs the reference tick engine, per mirrored
+    # The Python flat kernel vs the reference tick engine, per mirrored
     # configuration (same instance, knobs and seed on both sides).
     # The contention ratio (m=64, sigma=64 -- victim draws dominate)
     # carries the ISSUE-6 floor: bench_gate.py
@@ -95,14 +95,23 @@ DERIVED_RATIOS = {
     ),
     # Streaming execution (chunked generation + window compaction +
     # online stats, quantiles off) vs materializing the instance and
-    # running engine="flat" -- same workload, knobs and seed, with the
+    # running the flat kernel -- same workload, knobs and seed, with the
     # flat side paying materialization inside the timed region.  The
     # ISSUE-7 floor: bench_gate.py --min-derived stream_vs_flat:0.9.
     "stream_vs_flat": (
         "test_stream_engine_throughput",
         "test_flat_materialized_throughput",
     ),
-    # Rep-batched arena execution (ISSUE 10) vs R serial engine="flat"
+    # The default WorkStealingScheduler.run -- routed by
+    # repro.sim.dispatch, i.e. the compiled kernel when the host has
+    # one -- vs the reference tick engine, same instance, knobs and
+    # seed.  bench_gate.py --min-derived dispatch_vs_reference:10
+    # enforces the floor.
+    "dispatch_vs_reference": (
+        "test_dispatch_throughput_steal_first",
+        "test_tick_engine_throughput_steal_first",
+    ),
+    # Rep-batched arena execution (ISSUE 10) vs R serial flat-kernel
     # calls over the same replicates, seeds and knobs (bit-identical per
     # rep).  The multi-rep cell-evaluation speedup the sweep layer gets
     # from fusing a cell's repetitions; bench_gate.py

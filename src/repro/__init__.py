@@ -115,6 +115,7 @@ from repro.errors import (
     CacheMergeConflictError,
     CellCrashedError,
     CellTimeoutError,
+    KernelUnavailableError,
     ReproError,
     SearchInfeasibleError,
     SweepConfigError,
@@ -162,6 +163,7 @@ __all__ = [
     "CellCrashedError",
     "CellTimeoutError",
     "SearchInfeasibleError",
+    "KernelUnavailableError",
     # core
     "Scheduler",
     "FifoScheduler",

@@ -330,37 +330,30 @@ def _run_streaming(
         )
         raise SweepConfigError(
             f"streaming runs are only supported by the 'flat' engine "
-            f"(got {shown}): the streaming kernel is the flat kernel "
+            f"(got {shown}): the stream runs the compiled tick kernel "
             f"over a sliding window.\n" + _STREAM_COMBINATIONS
         )
 
-    if telemetry is None:
-        return _run_stream(
-            stream, size, speed=s, seed=seed, **engine_kwargs
+    # The stream window always runs on the compiled kernel.
+    route = dict(engine="cext", reason="stream window", m=size, speed=s)
+    if telemetry is not None:
+        telemetry.emit(
+            "run.start", scheduler="flat", seed=seed, n_jobs=stream.n_jobs,
+            **route,
         )
-    telemetry.emit(
-        "run.start",
-        scheduler="flat",
-        engine="stream",
-        m=size,
-        speed=s,
-        seed=seed,
-        n_jobs=stream.n_jobs,
-    )
     t0 = time.perf_counter()
     result = _run_stream(
         stream, size, speed=s, seed=seed, telemetry=telemetry, **engine_kwargs
     )
-    telemetry.emit(
-        "run.done",
-        scheduler=result.scheduler,
-        engine="stream",
-        m=size,
-        speed=s,
-        wall_s=round(time.perf_counter() - t0, 6),
-        max_flow=result.max_flow,
-        stats=result.stats.as_dict(),
-    )
+    if telemetry is not None:
+        telemetry.emit(
+            "run.done",
+            scheduler=result.scheduler,
+            wall_s=round(time.perf_counter() - t0, 6),
+            max_flow=result.max_flow,
+            stats=result.stats.as_dict(),
+            **route,
+        )
     return result
 
 

@@ -272,7 +272,44 @@ def to_jobset(flat: FlatInstance) -> JobSet:
 
 
 # ----------------------------------------------------------------------
-# Segmented CSR: append / slice
+# Derived tables the tick kernels read
+# ----------------------------------------------------------------------
+
+
+def kernel_tables(
+    edge_offsets: np.ndarray, edge_targets: np.ndarray, job_node_offsets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(indeg, chain, roots, job_of, jro)`` of one CSR instance, int64.
+
+    ``indeg`` is each node's in-degree (its initial predecessor count);
+    ``chain[v]`` is the sole successor of an out-degree-1 node whose
+    successor has in-degree 1 (the O(1) continuation), else -1;
+    ``roots`` lists the in-degree-0 nodes in ascending order; ``job_of``
+    maps nodes to jobs; job ``j``'s roots are ``roots[jro[j]:jro[j+1]]``.
+    Edges never cross jobs, so the tables of a concatenation are the
+    rebased tables of its parts.
+    """
+    n_nodes = len(edge_offsets) - 1
+    indeg = np.bincount(edge_targets, minlength=n_nodes).astype(
+        np.int64, copy=False
+    )
+    chain = np.full(n_nodes, -1, dtype=np.int64)
+    cand = np.flatnonzero(np.diff(edge_offsets) == 1)
+    if cand.size:
+        tgt = edge_targets[edge_offsets[cand]]
+        ok = indeg[tgt] == 1
+        chain[cand[ok]] = tgt[ok]
+    roots = np.flatnonzero(indeg == 0).astype(np.int64, copy=False)
+    job_of = np.repeat(
+        np.arange(len(job_node_offsets) - 1, dtype=np.int64),
+        np.diff(job_node_offsets),
+    )
+    jro = np.searchsorted(roots, job_node_offsets).astype(np.int64, copy=False)
+    return indeg, chain, roots, job_of, jro
+
+
+# ----------------------------------------------------------------------
+# Segmented CSR: append
 # ----------------------------------------------------------------------
 
 
@@ -283,8 +320,7 @@ def concat_flat(segments: "List[FlatInstance]") -> FlatInstance:
     becomes a global job with identical structure; edges never cross
     jobs, so rebasing targets by each segment's node base is exact.
     This is the materialization step of the streaming workload path
-    (:meth:`repro.workloads.stream.StreamSpec.materialize`) and the
-    inverse of :func:`slice_flat` over a partition.
+    (:meth:`repro.workloads.stream.StreamSpec.materialize`).
     """
     if not segments:
         raise ValueError("concat_flat needs at least one segment")
@@ -310,33 +346,6 @@ def concat_flat(segments: "List[FlatInstance]") -> FlatInstance:
         job_node_offsets=np.concatenate(job_offset_parts),
         arrivals=np.concatenate([s.arrivals for s in segments]),
         weights=np.concatenate([s.weights for s in segments]),
-    )
-
-
-def slice_flat(flat: FlatInstance, start: int, stop: int) -> FlatInstance:
-    """Extract jobs ``[start, stop)`` as a standalone rebased instance.
-
-    The compaction primitive of the streaming engine's retirement path:
-    dropping a retired prefix is ``slice_flat(flat, frontier, n_jobs)``.
-    ``concat_flat(slice_flat(f, 0, k), slice_flat(f, k, n))`` reproduces
-    ``f`` byte for byte.
-    """
-    if not 0 <= start <= stop <= flat.n_jobs:
-        raise ValueError(
-            f"job slice [{start}, {stop}) out of range for "
-            f"{flat.n_jobs} jobs"
-        )
-    lo = int(flat.job_node_offsets[start])
-    hi = int(flat.job_node_offsets[stop])
-    e_lo = int(flat.edge_offsets[lo])
-    e_hi = int(flat.edge_offsets[hi])
-    return FlatInstance(
-        node_works=flat.node_works[lo:hi],
-        edge_offsets=flat.edge_offsets[lo : hi + 1] - e_lo,
-        edge_targets=flat.edge_targets[e_lo:e_hi] - lo,
-        job_node_offsets=flat.job_node_offsets[start : stop + 1] - lo,
-        arrivals=flat.arrivals[start:stop],
-        weights=flat.weights[start:stop],
     )
 
 

@@ -19,6 +19,7 @@ handlers keep working unchanged.
     |-- CellCrashedError              (+ RuntimeError) worker died / cell errored
     |-- CellTimeoutError              (+ TimeoutError) cell deadline exceeded
     |-- SearchInfeasibleError         (+ RuntimeError) no candidate meets the budget
+    |-- KernelUnavailableError        (+ RuntimeError) no compiled tick kernel here
     `-- FaultInjected                                  raised by repro.testing.faults
 
 Catch :class:`ReproError` to handle anything this package raises;
@@ -39,6 +40,7 @@ __all__ = [
     "CellCrashedError",
     "CellTimeoutError",
     "SearchInfeasibleError",
+    "KernelUnavailableError",
     "FaultInjected",
 ]
 
@@ -161,6 +163,22 @@ class SearchInfeasibleError(ReproError, RuntimeError):
         self.budget = budget
         self.best_params = dict(best_params or {})
         self.best_value = best_value
+
+
+class KernelUnavailableError(ReproError, RuntimeError):
+    """A streaming run needs the compiled tick kernel; it cannot run here.
+
+    ``reason`` is :func:`repro.sim._cext.kernel_unavailable_reason`
+    (``REPRO_CEXT=0``, no compiler, a refused cache, ...).  The stream's
+    materialized twin, ``stream.materialize(seed)``, runs on any host.
+    """
+
+    def __init__(self, message: str, reason: str = ""):
+        super().__init__(message)
+        self.reason = reason
+
+    def __reduce__(self):  # keep picklability across process boundaries
+        return (KernelUnavailableError, (str(self), self.reason))
 
 
 class FaultInjected(ReproError):

@@ -591,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "content-addressed cache directory for instances and cell "
             "results (default: the REPRO_CACHE environment variable, "
-            "else .repro_cache/)"
+            "else .repro_cache/); requires --resume"
         ),
     )
     parser.add_argument(
@@ -657,6 +657,12 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
+    if args.cache_dir is not None and not args.resume:
+        parser.error(
+            "--cache-dir takes effect only with --resume: figure commands "
+            "read and write the cell cache only when resuming (add "
+            "--resume, or drop --cache-dir)"
+        )
 
     if args.experiment == "telemetry":
         if args.log is None:

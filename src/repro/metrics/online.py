@@ -14,16 +14,15 @@ exactly once and keep O(1) state:
   interpolation.  An *estimate*, typically within a few percent of the
   exact empirical quantile for unimodal flow distributions; the
   documented tolerance is asserted by ``tests/metrics/test_online.py``.
-* :class:`OnlineFlowStats` -- the bundle the engine threads through the
-  hot loop: exact max/count/mean (running sum) plus one P^2 sketch per
-  requested quantile.
+* :class:`OnlineFlowStats` -- the bundle a streaming run returns: exact
+  max/count/mean (running sum, kept by the compiled kernel) plus one
+  P^2 sketch per requested quantile.
 * :class:`WindowedUtilization` -- busy-fraction time series over fixed
   tick windows, implementing the :class:`~repro.sim.sampling.
   SystemSampler` recording protocol (``maybe_record`` /
   ``record_boundary``).  Between consecutive sampler calls the busy
-  count is constant (the engine samples every general tick and brackets
-  fast-forwards with boundary snapshots), so step-hold integration is
-  exact, not an approximation.
+  count is constant, so step-hold integration is exact, not an
+  approximation.
 
 Every accumulator round-trips through ``state_dict()`` /
 ``load_state()`` with plain JSON-serializable values, which is how
@@ -297,11 +296,13 @@ class WindowedUtilization:
     """Busy-fraction time series over fixed tick windows, O(windows) memory.
 
     Implements the engine's sampler protocol (duck-typed like
-    :class:`~repro.sim.sampling.SystemSampler`): the engine calls
-    :meth:`maybe_record` every general tick and :meth:`record_boundary`
-    at both edges of every fast-forward.  The busy-worker count is
-    constant between consecutive calls, so integrating it as a step
-    function is exact.  Windows are ``[k*window, (k+1)*window)`` in
+    :class:`~repro.sim.sampling.SystemSampler`): the reference engines
+    call :meth:`maybe_record` every general tick and
+    :meth:`record_boundary` at both edges of every fast-forward; the
+    streaming engine replays only the ticks where the busy count
+    changed, plus the last one.  The busy-worker count is constant
+    between consecutive calls, so integrating it as a step function is
+    exact either way.  Windows are ``[k*window, (k+1)*window)`` in
     engine ticks; only the trailing ``max_windows`` window integrals are
     retained (older ones collapse into the global totals).
     """
@@ -335,57 +336,35 @@ class WindowedUtilization:
         stealable: int = 0,
         completed: int = 0,
     ) -> None:
-        # Called once per simulated tick: the idle case (previous busy
-        # count zero) and the within-one-window integration are inlined
-        # rather than delegated, so the per-tick cost is a couple of
-        # comparisons, not a call chain.
         tick = int(tick)
         last = self.last_tick
         if last is None:
             self.first_tick = tick
-        elif tick > last:
-            # The previous busy count held for [last, tick).
-            busy = self._last_busy
-            if busy:
-                self.busy_integral += busy * (tick - last)
-                w = self.window
-                k = last // w
-                if tick <= (k + 1) * w:
-                    wins = self._windows
-                    if wins and wins[-1][0] == k:
-                        wins[-1][1] += busy * (tick - last)
-                    else:
-                        self._bump(k, busy * (tick - last))
-                else:
-                    self._integrate(last, tick, busy)
         elif tick < last:
             raise ValueError(
                 f"utilization samples must be non-decreasing in time "
                 f"(got tick {tick} after {last})"
             )
+        elif self._last_busy:
+            # The previous busy count held for [last, tick); spread it
+            # over the windows that span crosses.
+            busy = self._last_busy
+            self.busy_integral += busy * (tick - last)
+            wins, w, start = self._windows, self.window, last
+            while start < tick:
+                k = start // w
+                edge = min(tick, (k + 1) * w)
+                if wins and wins[-1][0] == k:
+                    wins[-1][1] += busy * (edge - start)
+                else:
+                    wins.append([k, busy * (edge - start)])
+                    if len(wins) > self.max_windows:
+                        del wins[0 : len(wins) - self.max_windows]
+                start = edge
         self.last_tick = tick
         self._last_busy = int(n_busy)
 
     record_boundary = maybe_record
-
-    def _integrate(self, start: int, stop: int, busy: int) -> None:
-        """Spread ``busy`` over ``[start, stop)`` across window edges."""
-        w = self.window
-        k = start // w
-        while start < stop:
-            edge = min(stop, (k + 1) * w)
-            self._bump(k, busy * (edge - start))
-            start = edge
-            k += 1
-
-    def _bump(self, window_index: int, amount: int) -> None:
-        wins = self._windows
-        if wins and wins[-1][0] == window_index:
-            wins[-1][1] += amount
-        else:
-            wins.append([window_index, amount])
-            if len(wins) > self.max_windows:
-                del wins[0 : len(wins) - self.max_windows]
 
     # -- readers ----------------------------------------------------------
 

@@ -18,23 +18,20 @@ Two exact simulation engines drive every scheduler in :mod:`repro.core`:
 
 :mod:`repro.sim.flat_engine` is a pure-Python reimplementation of the
 tick engine over :class:`~repro.dag.flat.FlatInstance` CSR state --
-bit-identical results (the equivalence suite pins it) -- and the core
-of the streaming engine below.
+bit-identical results (the equivalence suite pins it).
 
+The on-demand-compiled C kernel (:mod:`repro.sim._cext`) is the one
+fast tick loop.  :mod:`repro.sim.batch_engine`
+(:func:`~repro.sim.batch_engine.run_batch`) runs R replicate instances
+on it in one block-structured arena -- bit-identical per rep to serial
+reference runs (schedules, stats, RNG post-state) -- and
+:mod:`repro.sim.dispatch` is the one place that chooses between it and
+the reference engine: every eligible work-stealing run goes to the
+kernel, everything else to the reference (``REPRO_CEXT=0`` forces it).
 :mod:`repro.sim.stream_engine` (``repro.run("flat", stream=...)``)
-re-bases the flat kernel onto a sliding window over a lazy arrival
-stream: bounded memory, online metrics, durable checkpoint/restore
+resumes the kernel over a sliding window of a lazy arrival stream:
+bounded memory, online metrics, durable checkpoint/restore
 (:mod:`repro.sim.checkpoint`) -- same max flow time, bit for bit.
-
-:mod:`repro.sim.batch_engine` (:func:`~repro.sim.batch_engine.run_batch`)
-evaluates R replicate instances in one block-structured arena behind an
-optional on-demand-compiled C kernel -- bit-identical per rep to R
-serial reference runs (same schedules, stats, and RNG post-state).
-:mod:`repro.sim.dispatch` is the one place that chooses between that
-kernel and the reference engine: every eligible work-stealing run
-(``WorkStealingScheduler.run``, ``repro.run``, sweep cells, figure
-runners) goes to the kernel at any replicate count, everything else to
-the reference engine (``REPRO_CEXT=0`` forces the reference).
 
 Shared pieces: :class:`~repro.sim.result.ScheduleResult` (the output of
 every engine), :class:`~repro.sim.jobstate.JobExecution` (mutable per-job

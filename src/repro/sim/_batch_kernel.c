@@ -1,298 +1,360 @@
-/* Rep-batched work-stealing tick kernel (engine="batch").
+/* The work-stealing tick loop, compiled: one resumable kernel.
  *
- * One replicate of the batched arena, executed start to finish.  This is
- * a line-for-line transcription of the native-scope path of
+ * A line-for-line transcription of the native-scope semantics of
  * repro/sim/flat_engine.py::_run_flat (phase A completion cascades,
  * phase B admission / burn / live-attempt branches, the three
- * fast-forwards, sub-tick execution when steals_per_tick > 1) over the
- * block-structured SoA arena built by repro.sim.batch_engine.  Keep the
- * two in sync: the Python kernel defines the semantics, bit for bit --
- * same completions, same stats counters, same RNG draw cadence -- and
- * tests/sim/test_batch_engine.py enforces the identity.
+ * fast-forwards, sub-tick execution when steals_per_tick > 1): same
+ * completions, same stats counters, same RNG draw cadence
+ * (tests/sim/test_batch_engine.py, tests/sim/test_stream_engine.py).
+ * Victim draws come from a 4096-slot block refilled by calling back
+ * into Python (refill_fn), so the PCG64 stream -- and its post-state --
+ * is drawn by the same numpy calls as the Python engines.
  *
- * Arena addressing: node- and job-indexed arrays use *global* (arena)
- * ids; the caller passes job-indexed pointers pre-offset to this rep's
- * segment (jro, arr_ticks) and worker-indexed pointers offset by
- * rep * m.  Victim draws come from a 4096-slot block per rep, refilled
- * by calling back into Python (refill_fn) so the PCG64 stream is drawn
- * by the *same* numpy Generator calls as the serial flat kernel --
- * exact post-state identity, not just equal victim sequences.
+ * The loop's scalars live in a KState that repro_kernel_run loads into
+ * locals on entry and stores back on every return, so a caller can
+ * change the Arena between calls.  repro.sim.batch_engine runs each
+ * replicate of a materialized arena in one call (exhausted = 1, no
+ * logs, no checkpoints: the only causes are RC_DONE and RC_MAX_TICKS);
+ * repro.sim.stream_engine drives a sliding window over a lazy stream
+ * and acts on each return cause:
  *
- * Returns 0 on success, 1 when max_ticks is exceeded (the caller raises
- * the same RuntimeError as the flat kernel).
+ *   RC_NEED_SEGMENT  the release block drained the window while more
+ *                    jobs will arrive: append a segment; the resumed
+ *                    call re-enters the release block.
+ *   RC_CHECKPOINT    post-release, completed >= ckpt_at: every due
+ *                    arrival is released (next_at > t), so the resumed
+ *                    call skips the release block by construction.
+ *   RC_LOG_FULL      no room to log one more iteration: drain the logs.
+ *   RC_MAX_TICKS     the feasibility bound was exceeded (an error).
+ *
+ * Flows are c - arrival with c = (end_tick + 1) / speed, summed in
+ * completion order; build with -ffp-contract=off so no FMA contraction
+ * perturbs the last bit.
  */
 
+#include <stddef.h>
 #include <stdint.h>
 
 #define BLOCK 4096
 #define IDLE_AT (((int64_t)1) << 62)
 
+/* Return causes (mirrored in repro.sim._cext). */
+#define RC_DONE 0
+#define RC_MAX_TICKS 1
+#define RC_NEED_SEGMENT 2
+#define RC_CHECKPOINT 3
+#define RC_LOG_FULL 4
+
 typedef void (*refill_fn)(int64_t rep);
 
+/* Tables and mutable arrays of one run (or stream window), in the
+ * field order of repro.sim._cext.Arena.  Job-indexed tables: jro (root
+ * offsets, wn + 1 entries), arr_ticks, arrivals. */
 typedef struct {
-    /* immutable tables (global arena ids) */
-    const int64_t *works;
-    const int64_t *eo;
-    const int64_t *et;
-    const int64_t *chain;
-    const int64_t *job_of;
-    /* mutable run state */
-    int64_t *preds;
-    int64_t *unfin;
+    const int64_t *works, *eo, *et, *chain, *job_of, *jro, *roots;
+    const int64_t *arr_ticks;
+    const double *arrivals;   /* arrival times; NULL: write completions */
+    int64_t *preds, *unfin;
     double *completions;
-    int64_t *cur;
-    int64_t *fin;
-    int64_t *dq_head;
-    int64_t *dq_tail;
-    int64_t *dq_next;
-    int64_t *dq_prev;
-    int64_t *rdy;
+    int64_t *cur, *fin, *fails, *idles;
+    int64_t *dq_head, *dq_tail, *dq_next, *dq_prev, *rdy;
+    int64_t *raw;             /* the current 4096-draw victim block */
+    double *flow_log;         /* flows in completion order, or NULL */
+    int64_t *busy_log;        /* (tick, n_busy) pairs, or NULL */
+    int64_t flow_cap, busy_cap;
+    int64_t n;                /* jobs in the whole run */
+    int64_t wn;               /* jobs currently in the window */
+    int64_t exhausted;        /* no job beyond the window will arrive */
+    int64_t m, k, sigma, max_ticks;
+    int64_t ckpt_at;          /* RC_CHECKPOINT once completed >= this */
+    int64_t fast_forward;
     double speed;
-    int64_t m;
-    /* scalars mirrored from the Python kernel's locals */
-    int64_t n_busy;
-    int64_t completed;
-    int64_t nf;
-    int64_t ne_count; /* |ne|: workers with a non-empty deque */
-} St;
+} Arena;
+
+/* Every loop scalar, in the field order of repro.sim._cext.KState. */
+typedef struct {
+    int64_t t;
+    int64_t next_arr;   /* window index of the next unreleased job */
+    int64_t next_at;    /* its arrival tick (IDLE_AT: none ever) */
+    int64_t q_head;     /* FIFO queue == window jobs [q_head, next_arr) */
+    int64_t p;          /* next unconsumed draw in the current block */
+    int64_t n_busy, completed;
+    int64_t nf;         /* min over busy workers of fin[i] */
+    int64_t ne_count;   /* workers with a non-empty deque */
+    int64_t steal_attempts, failed_steals, idle_steps;
+    int64_t admission_wait_ticks, ff_skipped_ticks, max_queue_depth;
+    int64_t job_base;   /* global id of window job 0 */
+    int64_t argmax_job; /* -1: none yet */
+    int64_t flow_n;     /* entries in flow_log */
+    int64_t busy_n;     /* pairs in busy_log */
+    int64_t busy_last;  /* n_busy of the last busy_log entry (-1: none) */
+    int64_t t_top;      /* tick of the last loop top that logged */
+    double max_flow, argmax_completion, flow_sum, last_completion;
+} KState;
 
 /* deques[i].append((node, ready)) */
-static void dq_push(St *s, int64_t i, int64_t node, int64_t ready)
+static void dq_push(const Arena *a, KState *s, int64_t i, int64_t node,
+                    int64_t ready)
 {
-    int64_t tail = s->dq_tail[i];
-    s->rdy[node] = ready;
-    s->dq_next[node] = -1;
-    s->dq_prev[node] = tail;
+    int64_t tail = a->dq_tail[i];
+    a->rdy[node] = ready;
+    a->dq_next[node] = -1;
+    a->dq_prev[node] = tail;
     if (tail < 0) {
-        s->dq_head[i] = node;
+        a->dq_head[i] = node;
         s->ne_count++;
     } else {
-        s->dq_next[tail] = node;
+        a->dq_next[tail] = node;
     }
-    s->dq_tail[i] = node;
+    a->dq_tail[i] = node;
 }
 
 /* deques[i].pop() -- LIFO, own-deque continuation */
-static int64_t dq_pop_back(St *s, int64_t i)
+static int64_t dq_pop_back(const Arena *a, KState *s, int64_t i)
 {
-    int64_t node = s->dq_tail[i];
-    int64_t prev = s->dq_prev[node];
-    s->dq_tail[i] = prev;
+    int64_t node = a->dq_tail[i];
+    int64_t prev = a->dq_prev[node];
+    a->dq_tail[i] = prev;
     if (prev < 0) {
-        s->dq_head[i] = -1;
+        a->dq_head[i] = -1;
         s->ne_count--;
     } else {
-        s->dq_next[prev] = -1;
+        a->dq_next[prev] = -1;
     }
     return node;
 }
 
 /* deques[victim].popleft() -- FIFO, steal */
-static int64_t dq_pop_front(St *s, int64_t i)
+static int64_t dq_pop_front(const Arena *a, KState *s, int64_t i)
 {
-    int64_t node = s->dq_head[i];
-    int64_t next = s->dq_next[node];
-    s->dq_head[i] = next;
+    int64_t node = a->dq_head[i];
+    int64_t next = a->dq_next[node];
+    a->dq_head[i] = next;
     if (next < 0) {
-        s->dq_tail[i] = -1;
+        a->dq_tail[i] = -1;
         s->ne_count--;
     } else {
-        s->dq_prev[next] = -1;
+        a->dq_prev[next] = -1;
     }
     return node;
+}
+
+/* Job j completes at the end of end_tick: record its completion time
+ * (materialized runs) or fold its flow into the exact online
+ * accumulators and the flow log (streams). */
+static void finish_job(const Arena *a, KState *s, int64_t j, int64_t end_tick)
+{
+    double c = (double)(end_tick + 1) / a->speed;
+    if (a->arrivals) {
+        double flow = c - a->arrivals[j];
+        if (flow < 0.0)
+            flow = 0.0;
+        s->flow_sum += flow;
+        if (flow > s->max_flow) {
+            s->max_flow = flow;
+            s->argmax_job = s->job_base + j;
+            s->argmax_completion = c;
+        }
+        if (c > s->last_completion)
+            s->last_completion = c;
+        if (a->flow_log)
+            a->flow_log[s->flow_n++] = flow;
+    } else {
+        a->completions[j] = c;
+    }
+    s->completed++;
+}
+
+/* Worker i runs node g from the tick after end_tick: it finishes at
+ * the end of end_tick + works[g].  Lowers nf when that is earlier. */
+static void start_node(const Arena *a, KState *s, int64_t i, int64_t g,
+                       int64_t end_tick)
+{
+    int64_t f = end_tick + a->works[g];
+    a->cur[i] = g;
+    a->fin[i] = f;
+    if (f < s->nf)
+        s->nf = f;
 }
 
 /* _complete(i, end_tick): finish worker i's current node at the end of
  * end_tick.  Lowers nf when it assigns an earlier finish (phase A
  * recomputes nf wholesale afterwards, so reusing this in phase A is
  * exact). */
-static void complete_node(St *s, int64_t i, int64_t end_tick)
+static void complete_node(const Arena *a, KState *s, int64_t i,
+                          int64_t end_tick)
 {
-    int64_t g = s->cur[i];
-    int64_t j = s->job_of[g];
-    int64_t u = s->unfin[j] - 1;
-    int64_t cn, lo, hi, f;
-    s->unfin[j] = u;
-    cn = s->chain[g];
+    int64_t g = a->cur[i];
+    int64_t j = a->job_of[g];
+    int64_t u = a->unfin[j] - 1;
+    int64_t cn, lo, hi;
+    a->unfin[j] = u;
+    cn = a->chain[g];
     if (cn >= 0) {
-        s->cur[i] = cn;
-        f = end_tick + s->works[cn];
-        s->fin[i] = f;
-        if (f < s->nf)
-            s->nf = f;
+        start_node(a, s, i, cn, end_tick);
         return;
     }
-    lo = s->eo[g];
-    hi = s->eo[g + 1];
-    if (u == 0) {
-        s->completions[j] = (double)(end_tick + 1) / s->speed;
-        s->completed++;
-    }
+    lo = a->eo[g];
+    hi = a->eo[g + 1];
+    if (u == 0)
+        finish_job(a, s, j, end_tick);
     if (lo != hi) {
         if (hi - lo == 1) {
-            int64_t s2 = s->et[lo];
-            int64_t pc = s->preds[s2] - 1;
-            s->preds[s2] = pc;
+            int64_t s2 = a->et[lo];
+            int64_t pc = a->preds[s2] - 1;
+            a->preds[s2] = pc;
             if (pc == 0) {
-                s->cur[i] = s2;
-                f = end_tick + s->works[s2];
-                s->fin[i] = f;
-                if (f < s->nf)
-                    s->nf = f;
+                start_node(a, s, i, s2, end_tick);
                 return;
             }
         } else {
             int64_t first = -1;
             int64_t x;
             for (x = lo; x < hi; x++) {
-                int64_t s2 = s->et[x];
-                int64_t pc = s->preds[s2] - 1;
-                s->preds[s2] = pc;
+                int64_t s2 = a->et[x];
+                int64_t pc = a->preds[s2] - 1;
+                a->preds[s2] = pc;
                 if (pc == 0) {
                     if (first < 0)
                         first = s2;
                     else
                         /* extras: enabled siblings, ready next tick */
-                        dq_push(s, i, s2, end_tick + 1);
+                        dq_push(a, s, i, s2, end_tick + 1);
                 }
             }
             if (first >= 0) {
-                s->cur[i] = first;
-                f = end_tick + s->works[first];
-                s->fin[i] = f;
-                if (f < s->nf)
-                    s->nf = f;
+                start_node(a, s, i, first, end_tick);
                 return;
             }
         }
     }
-    if (s->dq_head[i] >= 0) {
-        int64_t g2 = dq_pop_back(s, i);
-        s->cur[i] = g2;
-        f = end_tick + s->works[g2];
-        s->fin[i] = f;
-        if (f < s->nf)
-            s->nf = f;
+    if (a->dq_head[i] >= 0) {
+        start_node(a, s, i, dq_pop_back(a, s, i), end_tick);
     } else {
-        s->cur[i] = -1;
-        s->fin[i] = IDLE_AT;
+        a->cur[i] = -1;
+        a->fin[i] = IDLE_AT;
         s->n_busy--;
     }
 }
 
-/* io[] layout (out): 0 steal_attempts, 1 failed_steals, 2 idle_steps,
- * 3 admission_wait_ticks, 4 ff_skipped_ticks, 5 max_queue_depth,
- * 6 elapsed_ticks, 7 completed. */
-int64_t repro_batch_run_rep(
-    const int64_t *works, const int64_t *eo, const int64_t *et,
-    const int64_t *chain, const int64_t *job_of,
-    const int64_t *jro,      /* job-indexed, pre-offset: jro[0..n] */
-    const int64_t *roots,    /* global root-node list */
-    const int64_t *arr_ticks,/* job-indexed, pre-offset: arr_ticks[0..n-1] */
-    int64_t *preds, int64_t *unfin, double *completions,
-    int64_t *cur, int64_t *fin, int64_t *fails, int64_t *idles,
-    int64_t *dq_head, int64_t *dq_tail,
-    int64_t *dq_next, int64_t *dq_prev, int64_t *rdy,
-    int64_t *raw,            /* this rep's 4096-draw victim block */
-    int64_t n, int64_t m, int64_t k, int64_t sigma,
-    int64_t max_ticks, double speed,
-    int64_t *io, refill_fn refill, int64_t rep)
+int64_t repro_kernel_run(const Arena *a, KState *ks, refill_fn refill,
+                         int64_t rep)
 {
-    St st;
-    int64_t st_att = 0, st_fail = 0, st_idle = 0;
-    int64_t st_admwait = 0, st_ff = 0, st_maxq = 0;
-    int64_t q_head = 0;  /* global FIFO queue == job ids [q_head, next_arr) */
-    int64_t next_arr = 0;
-    int64_t next_at = arr_ticks[0];
-    int64_t t = next_at; /* nothing can happen before the first arrival */
-    int64_t p = 0;       /* next unconsumed draw in the current block */
-    int64_t i;
+    /* The scalars the loop touches every iteration live in locals;
+     * complete_node's share stays in the local copy s. */
+    KState s = *ks;
+    const int64_t *works = a->works, *jro = a->jro, *roots = a->roots;
+    const int64_t *arr_ticks = a->arr_ticks;
+    int64_t *cur = a->cur, *fin = a->fin, *fails = a->fails;
+    int64_t *idles = a->idles, *dq_head = a->dq_head, *rdy = a->rdy;
+    int64_t *raw = a->raw, *busy_log = a->busy_log;
+    const int64_t n = a->n, wn = a->wn, m = a->m, k = a->k;
+    const int64_t sigma = a->sigma, max_ticks = a->max_ticks;
+    const int64_t ff = a->fast_forward;
+    const int64_t flow_room = a->flow_log ? a->flow_cap - m : INT64_MAX;
+    int64_t t = s.t, next_arr = s.next_arr, next_at = s.next_at;
+    int64_t q_head = s.q_head, p = s.p;
+    int64_t st_att = s.steal_attempts, st_fail = s.failed_steals;
+    int64_t st_idle = s.idle_steps, st_admwait = s.admission_wait_ticks;
+    int64_t st_ff = s.ff_skipped_ticks, st_maxq = s.max_queue_depth;
+    int64_t rc, i;
 
-    st.works = works;
-    st.eo = eo;
-    st.et = et;
-    st.chain = chain;
-    st.job_of = job_of;
-    st.preds = preds;
-    st.unfin = unfin;
-    st.completions = completions;
-    st.cur = cur;
-    st.fin = fin;
-    st.dq_head = dq_head;
-    st.dq_tail = dq_tail;
-    st.dq_next = dq_next;
-    st.dq_prev = dq_prev;
-    st.rdy = rdy;
-    st.speed = speed;
-    st.m = m;
-    st.n_busy = 0;
-    st.completed = 0;
-    st.nf = IDLE_AT;
-    st.ne_count = 0;
+    for (;;) {
+        if (s.completed >= n) {
+            rc = RC_DONE;
+            break;
+        }
+        /* An iteration logs at most m flows and one busy pair. */
+        if (s.flow_n > flow_room || (busy_log && s.busy_n >= a->busy_cap)) {
+            rc = RC_LOG_FULL;
+            break;
+        }
 
-    while (st.completed < n) {
         /* ---- release arrivals due at or before the current tick ---- */
         if (next_at <= t) {
             int64_t ql;
-            while (next_arr < n && arr_ticks[next_arr] <= t)
+            while (next_arr < wn && arr_ticks[next_arr] <= t)
                 next_arr++;
-            next_at = (next_arr < n) ? arr_ticks[next_arr] : max_ticks + 1;
+            if (next_arr < wn) {
+                next_at = arr_ticks[next_arr];
+            } else if (!a->exhausted) {
+                rc = RC_NEED_SEGMENT;
+                break;
+            } else {
+                next_at = IDLE_AT; /* no further arrivals, ever */
+            }
             ql = next_arr - q_head;
             if (ql > st_maxq)
                 st_maxq = ql;
+            if (s.completed >= a->ckpt_at) {
+                rc = RC_CHECKPOINT;
+                break;
+            }
         }
 
         if (t >= max_ticks) {
-            io[0] = st_att; io[1] = st_fail; io[2] = st_idle;
-            io[3] = st_admwait; io[4] = st_ff; io[5] = st_maxq;
-            io[6] = t; io[7] = st.completed;
-            return 1;
+            rc = RC_MAX_TICKS;
+            break;
         }
 
-        /* ---- fast-forward: whole system empty ---- */
-        if (st.n_busy == 0 && q_head == next_arr) {
-            int64_t gap = next_at - t;
-            for (i = 0; i < m; i++) {
-                int64_t f = fails[i] + gap * sigma;
-                fails[i] = (f < k) ? f : k;
+        /* ---- utilization: the busy count as a step function ---- */
+        if (busy_log) {
+            s.t_top = t;
+            if (s.n_busy != s.busy_last) {
+                busy_log[2 * s.busy_n] = t;
+                busy_log[2 * s.busy_n + 1] = s.n_busy;
+                s.busy_n++;
+                s.busy_last = s.n_busy;
             }
-            st_idle += gap * m;
-            st_ff += gap;
-            t += gap;
-            continue;
         }
 
-        /* ---- fast-forward: every worker busy ---- */
-        if (st.n_busy == m) {
-            int64_t blind = st.nf - t;
-            if (blind > 0) {
-                st_ff += blind;
-                t += blind;
-                continue;
-            }
-            /* blind == 0: the completion tick; fall through. */
-        } else if (st.ne_count == 0 && st.n_busy > 0 && q_head == next_arr) {
-            /* ---- fast-forward: nothing stealable, nothing admissible */
-            int64_t delta = st.nf - t + 1;
-            int64_t blind;
-            if (next_arr < n && next_at - t < delta)
-                delta = next_at - t;
-            blind = delta - 1;
-            if (blind >= 1) {
-                int64_t n_idle = m - st.n_busy;
+        if (ff) {
+            /* ---- fast-forward: whole system empty ---- */
+            if (s.n_busy == 0 && q_head == next_arr) {
+                int64_t gap = next_at - t;
                 for (i = 0; i < m; i++) {
-                    if (cur[i] < 0) {
-                        int64_t f = fails[i] + blind * sigma;
-                        fails[i] = (f < k) ? f : k;
-                    }
+                    int64_t f = fails[i] + gap * sigma;
+                    fails[i] = (f < k) ? f : k;
                 }
-                st_att += blind * n_idle * sigma;
-                st_fail += blind * n_idle * sigma;
-                st_ff += blind;
-                t += blind;
+                st_idle += gap * m;
+                st_ff += gap;
+                t += gap;
                 continue;
             }
-            /* delta == 1: fall through to the general tick. */
+
+            /* ---- fast-forward: every worker busy ---- */
+            if (s.n_busy == m) {
+                int64_t blind = s.nf - t;
+                if (blind > 0) {
+                    st_ff += blind;
+                    t += blind;
+                    continue;
+                }
+                /* blind == 0: the completion tick; fall through. */
+            } else if (s.ne_count == 0 && s.n_busy > 0
+                       && q_head == next_arr) {
+                /* ---- fast-forward: nothing stealable, nothing admissible */
+                int64_t delta = s.nf - t + 1;
+                int64_t blind;
+                if (next_at < IDLE_AT && next_at - t < delta)
+                    delta = next_at - t;
+                blind = delta - 1;
+                if (blind >= 1) {
+                    int64_t n_idle = m - s.n_busy;
+                    for (i = 0; i < m; i++) {
+                        if (cur[i] < 0) {
+                            int64_t f = fails[i] + blind * sigma;
+                            fails[i] = (f < k) ? f : k;
+                        }
+                    }
+                    st_att += blind * n_idle * sigma;
+                    st_fail += blind * n_idle * sigma;
+                    st_ff += blind;
+                    t += blind;
+                    continue;
+                }
+                /* delta == 1: fall through to the general tick. */
+            }
         }
 
         /* ---- general tick ------------------------------------------ */
@@ -311,15 +373,15 @@ int64_t repro_batch_run_rep(
              * busy worker finishes.  complete_node may lower nf
              * mid-phase; the wholesale recompute below makes the final
              * nf exactly min(fin), matching the Python kernel. */
-            if (st.nf == t) {
+            if (s.nf == t) {
                 int64_t nfi = IDLE_AT;
                 for (i = 0; i < m; i++)
                     if (fin[i] == t)
-                        complete_node(&st, i, t);
+                        complete_node(a, &s, i, t);
                 for (i = 0; i < m; i++)
                     if (fin[i] < nfi)
                         nfi = fin[i];
-                st.nf = nfi;
+                s.nf = nfi;
             }
 
             /* Phase B: idle workers acquire work. */
@@ -334,35 +396,27 @@ int64_t repro_batch_run_rep(
                         int64_t ro = jro[jb];
                         int64_t rhi = jro[jb + 1];
                         int64_t r0 = roots[ro];
-                        int64_t f;
                         cur[i] = r0;
                         fails[i] = 0;
-                        st.n_busy++;
+                        s.n_busy++;
                         st_admwait += t - arr_ticks[jb];
                         if (rhi - ro > 1) {
                             int64_t x;
                             for (x = ro + 1; x < rhi; x++)
-                                dq_push(&st, i, roots[x], t);
+                                dq_push(a, &s, i, roots[x], t);
                         }
                         if (sigma > 1) {
                             /* Sub-tick admission: one unit this tick. */
-                            if (works[r0] == 1) {
-                                complete_node(&st, i, t);
-                            } else {
-                                f = t + works[r0] - 1;
-                                fin[i] = f;
-                                if (f < st.nf)
-                                    st.nf = f;
-                            }
+                            if (works[r0] == 1)
+                                complete_node(a, &s, i, t);
+                            else
+                                start_node(a, &s, i, r0, t - 1);
                         } else {
-                            f = t + works[r0];
-                            fin[i] = f;
-                            if (f < st.nf)
-                                st.nf = f;
+                            start_node(a, &s, i, r0, t);
                         }
                         break; /* admission consumes the rest of the tick */
                     }
-                    if (st.ne_count == 0) {
+                    if (s.ne_count == 0) {
                         /* Nothing stealable: burn just enough to unlock
                          * admission when the queue is non-empty, else
                          * the whole budget -- no draws. */
@@ -384,7 +438,7 @@ int64_t repro_batch_run_rep(
                     {
                         int64_t allowed = budget;
                         int64_t got = -1;
-                        int64_t v, victim, g2, g2rdy, f;
+                        int64_t v, victim, g2, g2rdy;
                         if (q_head != next_arr) {
                             int64_t d = k - fi;
                             if (d < allowed)
@@ -395,7 +449,7 @@ int64_t repro_batch_run_rep(
                             if (p == BLOCK) {
                                 /* Same lazy refill cadence as
                                  * UniformVictim: Python draws the next
-                                 * 4096 values into this rep's block. */
+                                 * 4096 values into the block. */
                                 refill(rep);
                                 p = 0;
                             }
@@ -435,27 +489,20 @@ int64_t repro_batch_run_rep(
                             continue; /* budget spent or admission unlocked */
                         v = raw[got];
                         victim = (v >= i) ? v + 1 : v;
-                        g2 = dq_pop_front(&st, victim);
+                        g2 = dq_pop_front(a, &s, victim);
                         g2rdy = rdy[g2];
                         cur[i] = g2;
                         fails[i] = 0;
-                        st.n_busy++;
+                        s.n_busy++;
                         /* Same-tick execution only if the stolen node
                          * was ready at the start of this tick. */
                         if (sigma > 1 && g2rdy <= t) {
-                            if (works[g2] == 1) {
-                                complete_node(&st, i, t);
-                            } else {
-                                f = t + works[g2] - 1;
-                                fin[i] = f;
-                                if (f < st.nf)
-                                    st.nf = f;
-                            }
+                            if (works[g2] == 1)
+                                complete_node(a, &s, i, t);
+                            else
+                                start_node(a, &s, i, g2, t - 1);
                         } else {
-                            f = t + works[g2];
-                            fin[i] = f;
-                            if (f < st.nf)
-                                st.nf = f;
+                            start_node(a, &s, i, g2, t);
                         }
                         break; /* the steal consumes the rest of the tick */
                     }
@@ -465,8 +512,20 @@ int64_t repro_batch_run_rep(
         t += 1;
     }
 
-    io[0] = st_att; io[1] = st_fail; io[2] = st_idle;
-    io[3] = st_admwait; io[4] = st_ff; io[5] = st_maxq;
-    io[6] = t; io[7] = st.completed;
-    return 0;
+    s.t = t; s.next_arr = next_arr; s.next_at = next_at;
+    s.q_head = q_head; s.p = p;
+    s.steal_attempts = st_att; s.failed_steals = st_fail;
+    s.idle_steps = st_idle; s.admission_wait_ticks = st_admwait;
+    s.ff_skipped_ticks = st_ff; s.max_queue_depth = st_maxq;
+    *ks = s;
+    return rc;
+}
+
+/* Layout probe: lets the loader refuse a struct mirror that drifted. */
+void repro_kernel_abi(int64_t *out)
+{
+    out[0] = (int64_t)sizeof(Arena);
+    out[1] = (int64_t)sizeof(KState);
+    out[2] = (int64_t)offsetof(Arena, speed);
+    out[3] = (int64_t)offsetof(KState, last_completion);
 }

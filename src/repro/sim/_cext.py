@@ -1,26 +1,30 @@
-"""Compile-on-demand loader for the batched C tick kernel.
+"""Compile-on-demand loader for the C tick kernel.
 
-The batch engine's hot loop (:mod:`repro.sim.batch_engine`) is a C
-transcription of the flat kernel's native-scope semantics
-(``src/repro/sim/_batch_kernel.c``).  Nothing is installed and no build
-backend is required: the source ships with the package and is compiled
+``src/repro/sim/_batch_kernel.c`` ships with the package and is compiled
 once per host with the system C compiler (``cc`` / ``gcc`` / ``clang``)
-into a content-addressed shared object under a per-user cache
-directory, then loaded with :mod:`ctypes`.  Hosts without a compiler --
-or with ``REPRO_CEXT=0`` -- run the pure-Python reference engine instead
-(:mod:`repro.sim.dispatch`; direct :func:`~repro.sim.batch_engine.run_batch`
-calls use the flat kernel per replicate); results are bit-identical
-either way.
+into a shared object under a per-user cache directory, then loaded with
+:mod:`ctypes`; nothing is installed.  Its one entry point,
+``repro_kernel_run``, is the resumable tick loop:
+:mod:`repro.sim.batch_engine` calls it once per replicate of a
+materialized arena and :mod:`repro.sim.stream_engine` drives it over a
+sliding window, both through the :class:`Arena` and :class:`KState`
+mirrors below.  Without the kernel, materialized runs take the
+reference engine (:mod:`repro.sim.dispatch`) with identical results,
+and streaming runs raise :class:`~repro.errors.KernelUnavailableError`.
 
-Environment override ``REPRO_CEXT``: ``0`` disables the compiled kernel
-even when a compiler exists, ``1`` requests it and emits a one-time
-:class:`RuntimeWarning` when it cannot be built or loaded, unset tries
-silently.  ``REPRO_CEXT_CACHE`` overrides the shared-object cache
-directory (default: ``<tempdir>/repro-cext-<uid>``).
+The shared object's name digests everything that shapes the binary --
+the source, the compiler's ``--version`` banner, :data:`_CFLAGS`, the
+interpreter's ``EXT_SUFFIX`` and the numpy version -- so a cache never
+serves an artifact built from other source, toolchain or ABI.  The cache
+directory must be owned by the current user with mode ``0700``; any
+other is refused, and the refusal is :func:`kernel_unavailable_reason`.
 
-Resolution is cached per process, exactly like the numba scanner in
-:mod:`repro.sim.flat_engine`; tests reset the module globals to probe
-each path.
+``REPRO_CEXT=0`` disables the kernel, ``REPRO_CEXT=1`` requests it and
+warns once (:class:`RuntimeWarning`) when it cannot be built or loaded,
+unset tries silently.  ``REPRO_CEXT_CACHE`` overrides the cache
+directory (default ``<tempdir>/repro-kernel-<uid>``).  Resolution is
+lazy (nothing compiles at import) and cached per process; tests reset
+the module globals to probe each path.
 """
 
 from __future__ import annotations
@@ -29,16 +33,37 @@ import ctypes
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
+import sysconfig
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, List, Optional
 
-#: Victim-draw block size; must match flat_engine._BLOCK and the C
-#: kernel's BLOCK constant (one block = one
-#: ``rng.integers(0, m - 1, size=BLOCK)`` call).
+import numpy as np
+
+#: Victim-draw block size of every engine (C ``BLOCK``): one block is one
+#: ``rng.integers(0, m - 1, size=BLOCK)`` call, the same as
+#: UniformVictim's default block, refilled lazily.
 BLOCK = 4096
+
+#: The "never" tick (C ``IDLE_AT``): idle workers' finish tick and the
+#: next-arrival tick once every job has arrived.
+IDLE_AT = 1 << 62
+
+#: Return causes of ``repro_kernel_run`` (C ``RC_*``), by code.
+RETURN_CAUSES = ("done", "max_ticks", "need_segment", "checkpoint", "log_full")
+RC_DONE, RC_MAX_TICKS, RC_NEED_SEGMENT, RC_CHECKPOINT, RC_LOG_FULL = range(5)
+
+#: Compiler flags; part of the cache key, so overriding this list (the
+#: sanitizer runner in ``tools/sanitize_kernel.py`` does) builds and
+#: loads a separate shared object.  ``-ffp-contract=off`` keeps the
+#: flow sums free of FMA contraction, which would change the last bit
+#: on hosts that contract by default.
+_CFLAGS: List[str] = [
+    "-O2", "-shared", "-fPIC", "-Wall", "-Werror", "-ffp-contract=off",
+]
 
 #: The refill callback signature: C hands back the replicate index whose
 #: draw block is exhausted; Python refills it in place from that rep's
@@ -46,6 +71,58 @@ BLOCK = 4096
 REFILL_CFUNC = ctypes.CFUNCTYPE(None, ctypes.c_int64)
 
 _KERNEL_SOURCE = Path(__file__).with_name("_batch_kernel.c")
+
+_i64 = ctypes.c_int64
+_f64 = ctypes.c_double
+_ptr = ctypes.c_void_p
+
+
+#: Arena's array pointers, in C order (NULL where a caller has none).
+ARENA_ARRAYS = (
+    "works", "eo", "et", "chain", "job_of", "jro", "roots", "arr_ticks",
+    "arrivals", "preds", "unfin", "completions", "cur", "fin", "fails",
+    "idles", "dq_head", "dq_tail", "dq_next", "dq_prev", "rdy", "raw",
+    "flow_log", "busy_log",
+)
+
+
+class Arena(ctypes.Structure):
+    """Mirror of the C ``Arena``: table pointers plus run parameters."""
+
+    _fields_ = [(name, _ptr) for name in ARENA_ARRAYS] + [
+        (name, _i64)
+        for name in (
+            "flow_cap", "busy_cap", "n", "wn", "exhausted", "m", "k",
+            "sigma", "max_ticks", "ckpt_at", "fast_forward",
+        )
+    ] + [("speed", _f64)]
+
+
+#: KState's integer fields, in C order.
+KSTATE_INTS = (
+    "t", "next_arr", "next_at", "q_head", "p", "n_busy", "completed",
+    "nf", "ne_count", "steal_attempts", "failed_steals", "idle_steps",
+    "admission_wait_ticks", "ff_skipped_ticks", "max_queue_depth",
+    "job_base", "argmax_job", "flow_n", "busy_n", "busy_last", "t_top",
+)
+#: KState's float fields (the exact online flow accumulators), in C order.
+KSTATE_FLOATS = (
+    "max_flow", "argmax_completion", "flow_sum", "last_completion",
+)
+#: The KState counters that are SimulationStats fields of the same name.
+KSTATE_STATS = (
+    "steal_attempts", "failed_steals", "idle_steps", "admission_wait_ticks",
+    "ff_skipped_ticks", "max_queue_depth",
+)
+
+
+class KState(ctypes.Structure):
+    """Mirror of the C ``KState``: every scalar of the tick loop."""
+
+    _fields_ = [(name, _i64) for name in KSTATE_INTS] + [
+        (name, _f64) for name in KSTATE_FLOATS
+    ]
+
 
 _cext_fn: Any = None
 _cext_resolved = False
@@ -59,7 +136,32 @@ def _cache_dir() -> Path:
     if env:
         return Path(env)
     uid = os.getuid() if hasattr(os, "getuid") else 0
-    return Path(tempfile.gettempdir()) / f"repro-cext-{uid}"
+    return Path(tempfile.gettempdir()) / f"repro-kernel-{uid}"
+
+
+def _private_cache_dir() -> Path:
+    """The cache directory, created ``0700``; refuses one others control.
+
+    A shared object is executed as soon as it is loaded, so the
+    directory it comes from must be writable by this user alone.
+    """
+    cache = _cache_dir()
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    if not hasattr(os, "getuid"):
+        return cache
+    info = cache.stat()
+    if info.st_uid != os.getuid():
+        raise PermissionError(
+            f"kernel cache {cache} is owned by uid {info.st_uid}, not "
+            f"{os.getuid()}; refusing to load code from it"
+        )
+    mode = stat.S_IMODE(info.st_mode)
+    if mode != 0o700:
+        raise PermissionError(
+            f"kernel cache {cache} has mode {mode:o}, expected 700; "
+            f"chmod 700 it or set REPRO_CEXT_CACHE to a private directory"
+        )
+    return cache
 
 
 def _find_compiler() -> Optional[str]:
@@ -70,18 +172,44 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
+def _cache_key(compiler: str) -> str:
+    """Digest of everything that shapes the compiled shared object."""
+    banner = subprocess.run(
+        [compiler, "--version"], check=True, capture_output=True
+    ).stdout
+    h = hashlib.sha256()
+    for part in (
+        _KERNEL_SOURCE.read_bytes(),
+        banner,
+        "\0".join(_CFLAGS).encode(),
+        str(sysconfig.get_config_var("EXT_SUFFIX")).encode(),
+        np.__version__.encode(),
+    ):
+        h.update(hashlib.sha256(part).digest())
+    return h.hexdigest()[:16]
+
+
 def _bind(lib: ctypes.CDLL) -> Any:
-    """Attach argtypes/restype to the kernel entry point."""
-    fn = lib.repro_batch_run_rep
-    ptr = ctypes.c_void_p
-    i64 = ctypes.c_int64
-    # 21 array pointers, 5 int64 scalars, speed, io pointer, callback,
-    # rep index -- the exact order of the C signature.
-    fn.argtypes = (
-        [ptr] * 21 + [i64] * 5 + [ctypes.c_double, ptr, REFILL_CFUNC, i64]
+    """The kernel's entry point, typed, once the struct layout checks."""
+    abi = (_i64 * 4)()
+    lib.repro_kernel_abi.argtypes = [_ptr]
+    lib.repro_kernel_abi.restype = None
+    lib.repro_kernel_abi(abi)
+    expected = (
+        ctypes.sizeof(Arena), ctypes.sizeof(KState), Arena.speed.offset,
+        KState.last_completion.offset,
     )
-    fn.restype = i64
-    return fn
+    if tuple(abi) != expected:
+        raise RuntimeError(
+            f"kernel struct layout {tuple(abi)} does not match the ctypes "
+            f"mirror {expected}"
+        )
+    run = lib.repro_kernel_run
+    run.argtypes = [
+        ctypes.POINTER(Arena), ctypes.POINTER(KState), REFILL_CFUNC, _i64
+    ]
+    run.restype = _i64
+    return run
 
 
 def _build_and_load() -> Any:
@@ -89,12 +217,9 @@ def _build_and_load() -> Any:
     compiler = _find_compiler()
     if compiler is None:
         raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
-    source = _KERNEL_SOURCE.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = cache / f"batch_kernel-{digest}.so"
+    cache = _private_cache_dir()
+    so_path = cache / f"batch_kernel-{_cache_key(compiler)}.so"
     if not so_path.exists():
-        cache.mkdir(parents=True, exist_ok=True)
         # Compile to a unique temp name, then atomically rename: two
         # processes racing to build the same kernel both succeed.
         fd, tmp_name = tempfile.mkstemp(
@@ -103,15 +228,7 @@ def _build_and_load() -> Any:
         os.close(fd)
         try:
             subprocess.run(
-                [
-                    compiler,
-                    "-O2",
-                    "-shared",
-                    "-fPIC",
-                    "-o",
-                    tmp_name,
-                    str(_KERNEL_SOURCE),
-                ],
+                [compiler, *_CFLAGS, "-o", tmp_name, str(_KERNEL_SOURCE)],
                 check=True,
                 capture_output=True,
             )
@@ -126,7 +243,7 @@ def _build_and_load() -> Any:
 
 
 def resolve_batch_kernel() -> Any:
-    """The compiled kernel entry point, or ``None`` for the Python path.
+    """The compiled ``repro_kernel_run``, or ``None`` for the Python path.
 
     Resolution is cached per process.  ``REPRO_CEXT=0`` disables,
     ``REPRO_CEXT=1`` requests the compiled kernel and warns once
@@ -136,9 +253,9 @@ def resolve_batch_kernel() -> Any:
     global _cext_fn, _cext_resolved, _cext_warned, _cext_error
     if _cext_resolved:
         return _cext_fn
+    _cext_fn = None
     pref = os.environ.get("REPRO_CEXT", "").strip()
     if pref == "0":
-        _cext_fn = None
         _cext_error = "REPRO_CEXT=0"
         _cext_resolved = True
         return None
@@ -146,20 +263,20 @@ def resolve_batch_kernel() -> Any:
     try:
         _cext_fn = _build_and_load()
     except Exception as exc:
-        _cext_error = (
-            f"C kernel unavailable ({type(exc).__name__}: {exc})"
-        )
+        detail = f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, subprocess.CalledProcessError) and exc.stderr:
+            detail += " -- " + exc.stderr.decode(errors="replace").strip()
+        _cext_error = f"C kernel unavailable ({detail})"
         if pref == "1" and not _cext_warned:
             _cext_warned = True
             warnings.warn(
-                f"REPRO_CEXT=1 requested the compiled batch kernel, but "
-                f"it could not be built or loaded "
-                f"({type(exc).__name__}: {exc}); falling back to the "
-                f"Python engines (results are identical, only slower)",
+                f"REPRO_CEXT=1 requested the compiled tick kernel, but "
+                f"it could not be built or loaded ({detail}); falling "
+                f"back to the Python engines (results are identical, "
+                f"only slower)",
                 RuntimeWarning,
                 stacklevel=3,
             )
-        _cext_fn = None
     _cext_resolved = True
     return _cext_fn
 

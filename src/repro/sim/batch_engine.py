@@ -51,12 +51,21 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.dag.flat import FlatInstance, flatten_jobset
+from repro.dag.flat import FlatInstance, flatten_jobset, kernel_tables
 from repro.dag.job import JobSet
-from repro.sim._cext import BLOCK, REFILL_CFUNC, resolve_batch_kernel
+from repro.sim._cext import (
+    BLOCK,
+    IDLE_AT,
+    KSTATE_STATS,
+    RC_DONE,
+    REFILL_CFUNC,
+    Arena,
+    KState,
+    resolve_batch_kernel,
+)
 from repro.sim.dispatch import config_reasons
-from repro.sim.engine import _scheduler_label
-from repro.sim.flat_engine import _IDLE_AT, _run_flat
+from repro.sim.engine import _check_knobs, _scheduler_label
+from repro.sim.flat_engine import _run_flat
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.rng import SeedLike, make_rng
 
@@ -104,8 +113,6 @@ class _BatchTables:
         np.cumsum(n_nodes, out=node_off[1:])
         np.cumsum(n_jobs, out=job_off[1:])
         np.cumsum(n_edges, out=edge_off[1:])
-        total_nodes = int(node_off[-1])
-        total_jobs = int(job_off[-1])
 
         if reps == 1:
             # A single instance already is its own arena: the kernel
@@ -118,20 +125,8 @@ class _BatchTables:
                 flats, node_off, job_off, edge_off
             )
 
-        # Derived tables, one vectorized pass over the union -- the
-        # exact computation _KernelTables does per instance.
-        indeg = np.bincount(et, minlength=total_nodes).astype(
-            np.int64, copy=False
-        )
-        outdeg = np.diff(eo)
-        chain = np.full(total_nodes, -1, dtype=np.int64)
-        cand = np.flatnonzero(outdeg == 1)
-        if cand.size:
-            tgt = et[eo[cand]]
-            ok = indeg[tgt] == 1
-            chain[cand[ok]] = tgt[ok]
-        roots = np.flatnonzero(indeg == 0).astype(np.int64, copy=False)
-        job_sizes = np.diff(jno)
+        # Derived tables, one vectorized pass over the union.
+        indeg, chain, roots, job_of, jro = kernel_tables(eo, et, jno)
 
         self.arrivals = np.concatenate(
             [np.asarray(f.arrivals, dtype=np.float64) for f in flats]
@@ -142,13 +137,11 @@ class _BatchTables:
         self.eo = eo
         self.et = et
         self.chain = chain
-        self.job_of = np.repeat(
-            np.arange(total_jobs, dtype=np.int64), job_sizes
-        )
-        self.jro = np.searchsorted(roots, jno).astype(np.int64, copy=False)
+        self.job_of = job_of
+        self.jro = jro
         self.roots = roots
         self.preds_master = indeg
-        self.unfin_master = job_sizes.astype(np.int64, copy=False)
+        self.unfin_master = np.diff(jno)
         self.total_works = [int(f.node_works.sum()) for f in flats]
         self.n_jobs = [int(x) for x in n_jobs]
         # The flat kernel's delegation predicate, per replicate: a
@@ -216,9 +209,9 @@ def _batch_tables(flats: Sequence[FlatInstance]) -> _BatchTables:
     return tables
 
 
-def _ptr(arr: np.ndarray, offset: int = 0) -> ctypes.c_void_p:
-    """A C pointer to ``arr[offset]`` (8-byte elements only)."""
-    return ctypes.c_void_p(arr.ctypes.data + 8 * int(offset))
+def _ptr(arr: np.ndarray, offset: int = 0) -> int:
+    """The address of ``arr[offset]`` (8-byte elements only)."""
+    return arr.ctypes.data + 8 * int(offset)
 
 
 def _empty_result(
@@ -275,21 +268,7 @@ def run_batch(
     :class:`ScheduleResult` per instance, in order, **bit-identical**
     to ``[_run_flat(instances[r], ..., seed=seeds[r]) for r]``.
     """
-    # Argument validation mirrors the flat/reference engines verbatim.
-    if m < 1:
-        raise ValueError(f"need at least one worker, got m={m}")
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
-    if k < 0:
-        raise ValueError(f"steal-k-first requires k >= 0, got {k}")
-    if steals_per_tick < 1:
-        raise ValueError(
-            f"steals_per_tick must be >= 1, got {steals_per_tick}"
-        )
-    if admission not in ("fifo", "weight"):
-        raise ValueError(
-            f"unknown admission policy {admission!r}; expected 'fifo' or 'weight'"
-        )
+    _check_knobs(m, speed, k, steals_per_tick, admission)
     reps = len(instances)
     if seeds is None:
         seeds = [None] * reps
@@ -375,7 +354,7 @@ def run_batch(
     unfin = tables.unfin_master.copy()
     completions = np.zeros(total_jobs, dtype=np.float64)
     cur = np.full(reps * m, -1, dtype=np.int64)
-    fin = np.full(reps * m, _IDLE_AT, dtype=np.int64)
+    fin = np.full(reps * m, IDLE_AT, dtype=np.int64)
     fails = np.zeros(reps * m, dtype=np.int64)
     idles = np.empty(reps * m, dtype=np.int64)
     dq_head = np.full(reps * m, -1, dtype=np.int64)
@@ -384,7 +363,22 @@ def run_batch(
     dq_prev = np.empty(max(1, total_nodes), dtype=np.int64)
     rdy = np.empty(max(1, total_nodes), dtype=np.int64)
     raw = np.zeros((reps, BLOCK), dtype=np.int64)
-    io = np.zeros((reps, 8), dtype=np.int64)
+    # The kernel's view of the arena.  Node- and job-indexed state uses
+    # global arena ids; before each rep the loop below re-aims the
+    # job-indexed tables (jro, arr_ticks) at the replicate's first job
+    # and the worker arrays at rep * m.
+    arena = Arena(
+        m=m, k=int(k), sigma=sigma, exhausted=1, ckpt_at=IDLE_AT,
+        fast_forward=1, speed=float(speed),
+    )
+    for name, arr in (
+        ("works", tables.works), ("eo", tables.eo), ("et", tables.et),
+        ("chain", tables.chain), ("job_of", tables.job_of),
+        ("roots", tables.roots), ("preds", preds), ("unfin", unfin),
+        ("completions", completions), ("dq_next", dq_next),
+        ("dq_prev", dq_prev), ("rdy", rdy),
+    ):
+        setattr(arena, name, _ptr(arr))
 
     results: List[Optional[ScheduleResult]] = [None] * reps
     for r in range(reps):
@@ -424,54 +418,34 @@ def run_batch(
                 ) * 4
             else:
                 rep_max_ticks = max_ticks
-            rc = kernel(
-                _ptr(tables.works),
-                _ptr(tables.eo),
-                _ptr(tables.et),
-                _ptr(tables.chain),
-                _ptr(tables.job_of),
-                _ptr(tables.jro, job_off[r]),
-                _ptr(tables.roots),
-                _ptr(arr_ticks, job_off[r]),
-                _ptr(preds),
-                _ptr(unfin),
-                _ptr(completions),
-                _ptr(cur, r * m),
-                _ptr(fin, r * m),
-                _ptr(fails, r * m),
-                _ptr(idles, r * m),
-                _ptr(dq_head, r * m),
-                _ptr(dq_tail, r * m),
-                _ptr(dq_next),
-                _ptr(dq_prev),
-                _ptr(rdy),
-                _ptr(row),
-                n_r,
-                m,
-                int(k),
-                sigma,
-                rep_max_ticks,
-                float(speed),
-                _ptr(io, r * 8),
-                cb,
-                r,
-            )
-            if rc != 0:
+            for name, arr, off in (
+                ("jro", tables.jro, job_off[r]),
+                ("arr_ticks", arr_ticks, job_off[r]),
+                ("cur", cur, r * m),
+                ("fin", fin, r * m),
+                ("fails", fails, r * m),
+                ("idles", idles, r * m),
+                ("dq_head", dq_head, r * m),
+                ("dq_tail", dq_tail, r * m),
+                ("raw", row, 0),
+            ):
+                setattr(arena, name, _ptr(arr, off))
+            arena.n = arena.wn = n_r
+            arena.max_ticks = rep_max_ticks
+            # Nothing can happen before the first arrival.
+            first = int(arr_ticks[job_off[r]])
+            ks = KState(t=first, next_at=first, nf=IDLE_AT)
+            if kernel(ctypes.byref(arena), ctypes.byref(ks), cb, r) != RC_DONE:
                 raise RuntimeError(
                     f"work-stealing run exceeded max_ticks={rep_max_ticks} "
-                    f"({int(io[r, 7])}/{n_r} jobs complete) -- instance "
+                    f"({ks.completed}/{n_r} jobs complete) -- instance "
                     f"may be overloaded"
                 )
-            stats = SimulationStats()
-            stats.busy_steps = tables.total_works[r]
-            stats.steal_attempts = int(io[r, 0])
-            stats.failed_steals = int(io[r, 1])
-            stats.admissions = n_r
-            stats.idle_steps = int(io[r, 2])
-            stats.elapsed_ticks = int(io[r, 6])
-            stats.admission_wait_ticks = int(io[r, 3])
-            stats.ff_skipped_ticks = int(io[r, 4])
-            stats.max_queue_depth = int(io[r, 5])
+            stats = SimulationStats(
+                busy_steps=tables.total_works[r], admissions=n_r,
+                elapsed_ticks=ks.t,
+                **{name: getattr(ks, name) for name in KSTATE_STATS},
+            )
             results[r] = ScheduleResult(
                 scheduler=label,
                 m=m,

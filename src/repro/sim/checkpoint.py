@@ -1,13 +1,14 @@
 """Durable checkpoints of live streaming-engine state.
 
 A checkpoint is one ``.npz`` file holding every mutable array of a
-:func:`repro.sim.stream_engine._run_stream` run (window CSR lists,
-worker state, the victim-draw block, queues) plus a single JSON blob
-(``__state__``) with the scalar state: tick, counters, the victim RNG's
-``bit_generator.state``, the stream cursor, and the online-metric
-accumulators.  Restoring it reproduces the engine's state *exactly* --
-the resumed run emits the same floats as an uninterrupted one
-(``tests/sim/test_checkpoint.py``).
+:func:`repro.sim.stream_engine._run_stream` run (window CSR tables,
+worker state and deque links, the victim-draw block) plus a single JSON
+blob (``__state__``) with the scalar state: the compiled kernel's loop
+state, the victim RNG's ``bit_generator.state``, the stream cursor, and
+the online-metric accumulators (schema 2; schema-1 files, from the
+earlier Python stream loop, are refused).  Restoring it reproduces the
+engine's state *exactly* -- the resumed run emits the same floats as an
+uninterrupted one (``tests/sim/test_checkpoint.py``).
 
 Integrity and atomicity follow the PR 2-4 cache substrate:
 
@@ -49,7 +50,7 @@ from repro.errors import CacheCorruptError, SweepConfigError
 PathLike = Union[str, Path]
 
 #: Version stamp embedded in every checkpoint; bump on layout changes.
-CHECKPOINT_SCHEMA = "repro-stream-ckpt/1"
+CHECKPOINT_SCHEMA = "repro-stream-ckpt/2"
 
 _STATE_KEY = "__state__"
 
@@ -172,10 +173,17 @@ def load_checkpoint(
     if blob is None:
         raise CacheCorruptError(f"{path}: no {_STATE_KEY} payload")
     state = json.loads(blob.tobytes().decode())
-    if state.get("schema") != CHECKPOINT_SCHEMA:
+    schema = state.get("schema")
+    if schema != CHECKPOINT_SCHEMA:
+        hint = ""
+        if str(schema).startswith("repro-stream-ckpt/"):
+            hint = (
+                " -- another version of the streaming engine wrote it, in "
+                "a state layout this one cannot resume; start a fresh run "
+                "in a new checkpoint_dir"
+            )
         raise CacheCorruptError(
-            f"{path}: schema {state.get('schema')!r} is not "
-            f"{CHECKPOINT_SCHEMA!r}"
+            f"{path}: schema {schema!r} is not {CHECKPOINT_SCHEMA!r}{hint}"
         )
     if state.get("config_sha") != config_digest(config_token):
         raise SweepConfigError(

@@ -87,6 +87,30 @@ def _scheduler_label(
     return label
 
 
+def _check_knobs(
+    m: int, speed: float, k: int, steals_per_tick: int, admission: str = "fifo"
+) -> None:
+    """Argument validation shared by every work-stealing engine.
+
+    Same messages in the same order everywhere, so callers cannot tell
+    the engines apart by their errors.
+    """
+    if m < 1:
+        raise ValueError(f"need at least one worker, got m={m}")
+    if speed <= 0:
+        raise ValueError(f"speed must be positive, got {speed}")
+    if k < 0:
+        raise ValueError(f"steal-k-first requires k >= 0, got {k}")
+    if steals_per_tick < 1:
+        raise ValueError(
+            f"steals_per_tick must be >= 1, got {steals_per_tick}"
+        )
+    if admission not in ("fifo", "weight"):
+        raise ValueError(
+            f"unknown admission policy {admission!r}; expected 'fifo' or 'weight'"
+        )
+
+
 def _run_work_stealing(
     jobset: JobSet,
     m: int,
@@ -186,20 +210,7 @@ def _run_work_stealing(
         ``max_queue_depth`` (peak global-queue length).  All counters are
         maintained off the hot path, so they cost nothing measurable.
     """
-    if m < 1:
-        raise ValueError(f"need at least one worker, got m={m}")
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
-    if k < 0:
-        raise ValueError(f"steal-k-first requires k >= 0, got {k}")
-    if steals_per_tick < 1:
-        raise ValueError(
-            f"steals_per_tick must be >= 1, got {steals_per_tick}"
-        )
-    if admission not in ("fifo", "weight"):
-        raise ValueError(
-            f"unknown admission policy {admission!r}; expected 'fifo' or 'weight'"
-        )
+    _check_knobs(m, speed, k, steals_per_tick, admission)
     sigma = int(steals_per_tick)
 
     rng = make_rng(seed)

@@ -7,10 +7,10 @@ simulation over :class:`~repro.dag.flat.FlatInstance` CSR arrays instead
 of the ``JobExecution`` object graph.  ``repro.run("flat", ...)`` no
 longer reaches it: every materialized work-stealing run goes through
 :mod:`repro.sim.dispatch` (the compiled kernel or the reference
-engine).  This kernel remains the core of the streaming engine
-(:mod:`repro.sim.stream_engine`) and the per-replicate fallback of
-direct :func:`~repro.sim.batch_engine.run_batch` calls on hosts without
-the compiled kernel.
+engine), and streaming runs drive the compiled kernel directly.  This
+kernel remains the per-replicate fallback of direct
+:func:`~repro.sim.batch_engine.run_batch` calls on hosts without the
+compiled kernel, and a Python oracle for the compiled one.
 
 Where the speed comes from
 --------------------------
@@ -86,22 +86,24 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.dag.flat import FlatInstance, flatten_jobset, to_jobset
+from repro.dag.flat import (
+    FlatInstance,
+    flatten_jobset,
+    kernel_tables,
+    to_jobset,
+)
 from repro.dag.job import JobSet
+from repro.sim._cext import BLOCK as _BLOCK
+from repro.sim._cext import IDLE_AT as _IDLE_AT
 from repro.sim.dispatch import config_reasons
-from repro.sim.engine import _run_work_stealing, _scheduler_label
+from repro.sim.engine import (
+    _check_knobs,
+    _run_work_stealing,
+    _scheduler_label,
+)
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.rng import SeedLike, make_rng
 from repro.sim.sampling import SystemSampler
-
-#: Victim-draw block size; must equal UniformVictim's default block so the
-#: kernel consumes the identical RNG stream (one block = one
-#: ``rng.integers(0, m - 1, size=_BLOCK)`` call, refilled lazily).
-_BLOCK = 4096
-
-#: Absolute-finish-tick sentinel for idle workers (cf. worker.IDLE, which
-#: is a *remaining-work* sentinel; this one is compared against ticks).
-_IDLE_AT = 1 << 62
 
 #: Live-attempt bursts shorter than this scan the draw list directly;
 #: longer bursts amortize the per-value position index (measured
@@ -224,34 +226,18 @@ class _KernelTables:
     )
 
     def __init__(self, flat: FlatInstance) -> None:
-        eo_np = flat.edge_offsets
-        et_np = flat.edge_targets
-        jno_np = flat.job_node_offsets
-        n_nodes = flat.n_nodes
-        n_jobs = flat.n_jobs
-
-        indeg = np.bincount(et_np, minlength=n_nodes)
-        outdeg = np.diff(eo_np)
-        chain_np = np.full(n_nodes, -1, dtype=np.int64)
-        cand = np.flatnonzero(outdeg == 1)
-        if cand.size:
-            tgt = et_np[eo_np[cand]]
-            ok = indeg[tgt] == 1
-            chain_np[cand[ok]] = tgt[ok]
-        roots_np = np.flatnonzero(indeg == 0)
-        job_sizes = np.diff(jno_np)
-
+        indeg, chain, roots, job_of, jro = kernel_tables(
+            flat.edge_offsets, flat.edge_targets, flat.job_node_offsets
+        )
         self.works: List[int] = flat.node_works.tolist()
-        self.eo: List[int] = eo_np.tolist()
-        self.et: List[int] = et_np.tolist()
-        self.chain: List[int] = chain_np.tolist()
-        self.job_of: List[int] = np.repeat(
-            np.arange(n_jobs, dtype=np.int64), job_sizes
-        ).tolist()
-        self.jro: List[int] = np.searchsorted(roots_np, jno_np).tolist()
-        self.roots: List[int] = roots_np.tolist()
+        self.eo: List[int] = flat.edge_offsets.tolist()
+        self.et: List[int] = flat.edge_targets.tolist()
+        self.chain: List[int] = chain.tolist()
+        self.job_of: List[int] = job_of.tolist()
+        self.jro: List[int] = jro.tolist()
+        self.roots: List[int] = roots.tolist()
         self.preds_master: List[int] = indeg.tolist()
-        self.unfin_master: List[int] = job_sizes.tolist()
+        self.unfin_master: List[int] = np.diff(flat.job_node_offsets).tolist()
         self.total_work = int(flat.node_works.sum())
         #: speed -> arrival-tick list (the reference's ``arr_ticks``).
         self.arr_cache: Dict[float, List[int]] = {}
@@ -320,22 +306,7 @@ def _run_flat(
     (non-uniform victim policies, ``steal_half``, weighted admission,
     ``trace``) delegate to the reference engine.
     """
-    # Argument validation mirrors the reference engine verbatim (same
-    # messages, same order) so callers cannot tell the engines apart.
-    if m < 1:
-        raise ValueError(f"need at least one worker, got m={m}")
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
-    if k < 0:
-        raise ValueError(f"steal-k-first requires k >= 0, got {k}")
-    if steals_per_tick < 1:
-        raise ValueError(
-            f"steals_per_tick must be >= 1, got {steals_per_tick}"
-        )
-    if admission not in ("fifo", "weight"):
-        raise ValueError(
-            f"unknown admission policy {admission!r}; expected 'fifo' or 'weight'"
-        )
+    _check_knobs(m, speed, k, steals_per_tick, admission)
     sigma = int(steals_per_tick)
 
     if isinstance(instance, FlatInstance):

@@ -1,92 +1,88 @@
-"""Streaming tick kernel: bounded-memory runs over lazy arrival streams.
+"""Streaming runs: bounded-memory simulation over lazy arrival streams.
 
-``engine="flat"``'s sibling for the case the paper actually describes --
-an *online* system where jobs arrive over time and nobody holds the
-future in memory.  :func:`_run_stream` consumes a
-:class:`~repro.workloads.stream.StreamSpec` instead of a materialized
-instance: CSR segments are generated lazily as simulated time reaches
-them, completed jobs are retired and their arrays compacted away, and
-metrics are accumulated online (:mod:`repro.metrics.online`), so peak
-memory is O(live jobs + one chunk) instead of O(total jobs).
+:func:`_run_stream` is ``repro.run("flat", stream=...)``: the paper's
+*online* setting, where jobs arrive over time and nobody holds the
+future in memory.  CSR segments of a :class:`~repro.workloads.stream.
+StreamSpec` are generated as simulated time reaches them, completed jobs
+are retired and compacted away, and metrics accumulate online
+(:mod:`repro.metrics.online`), so peak memory is O(live jobs + one
+chunk), not O(total jobs).
 
-Semantics
----------
-The tick loop is the flat kernel (:mod:`repro.sim.flat_engine`) verbatim
--- same phases, same fast-forwards, same victim-draw blocks, same
-counters -- re-based onto a *window* of jobs:
+The tick loop is the compiled kernel's (``repro_kernel_run`` in
+``_batch_kernel.c``, the loop every materialized run executes), driven
+over a sliding *window*: int64 tables with window-local ids, plus a
+:class:`~repro.sim._cext.KState` the kernel loads on entry and stores on
+every return.  This module answers the return causes: ``need_segment``
+(compact the retired prefix once ``_compact_min`` jobs retired, append
+the next segment, raise the ``max_ticks`` bound), ``checkpoint``
+(compact, save), ``log_full`` (feed the completion-ordered flow log to
+the P^2 sketches and the ``(tick, n_busy)`` change log to the
+utilization sampler -- a step function, so replaying its changes is
+exact), ``done`` and ``max_ticks``.  Pulls, compactions and checkpoints
+fall on exactly the ticks of the earlier pure-Python stream loop, whose
+every output ``tests/sim/test_stream_golden.py`` pins.  Compaction only
+rewrites window-local indices, so it is unobservable in the results.
 
-* node/job tables are window-local Python lists, **mutated in place**
-  (appended at segment pulls, prefix-deleted and id-rewritten at
-  compactions), so the hot loop indexes plain lists exactly like the
-  flat kernel and pays nothing for the windowing;
-* the retire frontier is the first incomplete window job; everything
-  before it is dead state.  Compaction (at segment pulls and
-  checkpoints, once a chunk's worth of jobs has retired) slides the
-  window: each job is appended once and removed once, amortized O(1);
-* per-job completions feed :class:`~repro.metrics.online.
-  OnlineFlowStats` instead of a completions array.  The running max is
-  over the *identical* per-job flow floats the materialized engine
-  computes, so ``StreamResult.max_flow`` is bit-identical to
-  ``_run_flat(stream.materialize(seed), m, seed=seed, ...)``, as are
-  all final :class:`~repro.sim.result.SimulationStats` counters
-  (asserted by ``tests/sim/test_stream_engine.py``).  Mean flow and the
-  P^2 quantiles are online estimates (running sum / sketch), not
-  bit-matched to their offline numpy counterparts.
+The kernel keeps the exact max flow (with argmax job and completion),
+flow sum and last completion over the *identical* per-job flow floats
+the materialized engines compute: ``max_flow``, ``argmax_job``,
+``makespan`` and every :class:`~repro.sim.result.SimulationStats`
+counter are bit-identical to ``_run_flat(stream.materialize(seed), m,
+seed=seed, ...)`` (``tests/sim/test_stream_engine.py``).  There is no
+Python fallback: without the kernel (``REPRO_CEXT=0``, no C compiler) a
+stream run raises :class:`~repro.errors.KernelUnavailableError`, and
+``stream.materialize(seed)`` runs anywhere, identically.
 
 One integer seed drives everything: the victim RNG is ``make_rng(seed)``
-(the flat kernel's stream) and workload generation derives per-chunk
-child seeds from the same integer (:mod:`repro.workloads.stream`), so
-the materialized twin of a streaming run is simply
-``stream.materialize(seed)`` run with the same seed.  ``seed=None``
-draws one entropy integer up front and records it on the result, so
-even "irreproducible" runs checkpoint and resume exactly.
+and chunk generation derives child seeds from it; ``seed=None`` draws
+one entropy integer up front and records it on the result.
 
-Checkpoint/restore
-------------------
-With ``checkpoint_dir`` set, the engine durably snapshots its complete
-mutable state (window lists, worker arrays, queues, the victim RNG's
-state and current draw block, the stream cursor, the online-metric
-accumulators) every ``checkpoint_every`` completed jobs via
-:mod:`repro.sim.checkpoint`, and writes a :mod:`repro.obs` manifest
-alongside.  Checkpoints are taken right after an arrival-release block,
-where the loop-top state is self-consistent: on resume the release
-condition is false by construction (every due arrival was released, so
-``next_at > t``), and execution re-enters the loop at exactly the
-sampler/fast-forward point the uninterrupted run would have reached --
-hence a killed-and-resumed run reproduces the uninterrupted run's
-floats identically.  The ``checkpoint`` fault stage
-(:mod:`repro.testing.faults`) fires right *after* each durable save,
-giving chaos tests a deterministic kill point that always leaves a
-valid checkpoint behind.
+Checkpoint/restore: with ``checkpoint_dir`` set, every
+``checkpoint_every`` completed jobs the complete mutable state (window
+tables, worker arrays and deque links, victim RNG state and draw block,
+kernel state, stream cursor, online accumulators) is saved durably via
+:mod:`repro.sim.checkpoint`, with a :mod:`repro.obs` manifest alongside.
+Saves happen right after an arrival release, where the loop-top state
+is self-consistent (``next_at > t``), so a killed-and-resumed run
+reproduces the uninterrupted run's floats identically.  The
+``checkpoint`` fault stage (:mod:`repro.testing.faults`) fires right
+*after* each durable save.
 """
 
 from __future__ import annotations
 
-import gc
-from collections import deque
+import ctypes
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import SweepConfigError
+from repro.dag.flat import FlatInstance, kernel_tables
+from repro.errors import (
+    CacheCorruptError,
+    KernelUnavailableError,
+    SweepConfigError,
+)
 from repro.metrics.online import OnlineFlowStats, WindowedUtilization
 from repro.obs.manifest import build_manifest, write_manifest
+from repro.sim import _cext
 from repro.sim.checkpoint import (
     latest_checkpoint,
     load_checkpoint,
     save_checkpoint,
 )
-from repro.sim.engine import _scheduler_label
-from repro.sim.flat_engine import _BLOCK, _IDLE_AT, _SHORT_BURST, _resolve_numba_scan
+from repro.sim.engine import _check_knobs, _scheduler_label
 from repro.sim.result import SimulationStats
 from repro.sim.rng import make_rng
-from repro.sim.sampling import SystemSampler
 from repro.testing.faults import maybe_inject
 from repro.workloads.stream import StreamCursor, StreamSpec
 
 PathLike = Union[str, Path]
+
+#: Flows the kernel may log between two drains (plus m: one iteration's
+#: worst case), and ``(tick, n_busy)`` pairs likewise.
+_LOG_CAP = 1 << 16
 
 
 @dataclass
@@ -121,20 +117,13 @@ class StreamResult:
     def summary(self) -> Dict[str, Any]:
         """Flat dict for reports and telemetry."""
         out: Dict[str, Any] = {
-            "scheduler": self.scheduler,
-            "m": self.m,
-            "speed": self.speed,
-            "seed": self.seed,
-            "n_jobs": self.n_jobs,
-            "max_flow": self.max_flow,
-            "argmax_job": self.argmax_job,
-            "mean_flow": self.mean_flow,
-            "makespan": self.makespan,
-            "peak_live_jobs": self.peak_live_jobs,
-            "segments_generated": self.segments_generated,
-            "compactions": self.compactions,
-            "checkpoints_written": self.checkpoints_written,
-            "resumed_from": self.resumed_from,
+            name: getattr(self, name)
+            for name in (
+                "scheduler", "m", "speed", "seed", "n_jobs", "max_flow",
+                "argmax_job", "mean_flow", "makespan", "peak_live_jobs",
+                "segments_generated", "compactions", "checkpoints_written",
+                "resumed_from",
+            )
         }
         for q, value in sorted(self.quantiles.items()):
             out[f"p{round(q * 100):g}_flow"] = value
@@ -161,6 +150,145 @@ def _config_token(
     )
 
 
+def _rebase(ids: np.ndarray, cut: int) -> np.ndarray:
+    """Shift node ids down by ``cut``; -1 (and dead links) become -1."""
+    return np.where(ids >= cut, ids - cut, -1)
+
+
+class _Window:
+    """The kernel's arena for a sliding window of jobs.
+
+    Tables hold window-local ids; worker state and deque links live here
+    too, so a compaction rebases every id in one place.  Appends and
+    compactions replace arrays; :meth:`arena` re-aims the kernel.
+    """
+
+    #: Window tables, in checkpoint order.
+    TABLES = (
+        "works", "eo", "et", "chain", "job_of", "preds", "jno", "jro",
+        "roots", "unfin", "arr_ticks", "arrivals", "dq_next", "dq_prev",
+        "rdy",
+    )
+    #: Per-worker arrays (and the victim-draw block).
+    WORKERS = ("cur", "fin", "fails", "dq_head", "dq_tail", "raw")
+
+    def __init__(self, m: int, flow_log: bool, busy_log: bool) -> None:
+        for name in self.TABLES:
+            size = 1 if name in ("eo", "jno", "jro") else 0
+            dtype = np.float64 if name == "arrivals" else np.int64
+            setattr(self, name, np.zeros(size, dtype=dtype))
+        for name, fill in (("cur", -1), ("fin", _cext.IDLE_AT), ("fails", 0),
+                           ("dq_head", -1), ("dq_tail", -1), ("idles", 0)):
+            setattr(self, name, np.full(m, fill, dtype=np.int64))
+        self.raw = np.zeros(_cext.BLOCK, dtype=np.int64)
+        self.flow_log = np.zeros(_LOG_CAP + m) if flow_log else None
+        self.busy_log = (
+            np.zeros(2 * _LOG_CAP, dtype=np.int64) if busy_log else None
+        )
+
+    @property
+    def n_jobs(self) -> int:
+        return len(self.unfin)
+
+    def frontier(self) -> int:
+        """Window jobs before the first incomplete one (all retired)."""
+        live = np.flatnonzero(self.unfin)
+        return int(live[0]) if live.size else self.n_jobs
+
+    def append(self, seg: FlatInstance, speed: float) -> None:
+        """Extend the tables with one segment, rebased onto the window."""
+        indeg, chain, roots, job_of, jro = kernel_tables(
+            seg.edge_offsets, seg.edge_targets, seg.job_node_offsets
+        )
+        nb, eb = len(self.works), len(self.et)
+        jb, rb = self.n_jobs, len(self.roots)
+        links = np.full(seg.n_nodes, -1, dtype=np.int64)
+        parts = {
+            "works": seg.node_works,
+            "eo": seg.edge_offsets[1:] + eb,
+            "et": seg.edge_targets + nb,
+            "chain": np.where(chain >= 0, chain + nb, -1),
+            "job_of": job_of + jb,
+            "preds": indeg,
+            "jno": seg.job_node_offsets[1:] + nb,
+            "jro": jro[1:] + rb,
+            "roots": roots + nb,
+            "unfin": np.diff(seg.job_node_offsets),
+            "arr_ticks": np.ceil(seg.arrivals * speed - 1e-9).astype(np.int64),
+            "arrivals": seg.arrivals,
+            "dq_next": links,
+            "dq_prev": links,
+            "rdy": links,
+        }
+        for name, part in parts.items():
+            setattr(self, name, np.concatenate([getattr(self, name), part]))
+
+    def compact(self, fr: int) -> None:
+        """Drop the ``fr`` retired jobs and rebase every live id.
+
+        Retired jobs are fully complete: no worker, deque entry or
+        queued job references the dropped prefix.
+        """
+        node_cut = int(self.jno[fr])
+        e_cut = int(self.eo[node_cut])
+        root_cut = int(self.jro[fr])
+        self.works = self.works[node_cut:].copy()
+        self.eo = self.eo[node_cut:] - e_cut
+        self.et = self.et[e_cut:] - node_cut
+        self.chain = _rebase(self.chain[node_cut:], node_cut)
+        self.job_of = self.job_of[node_cut:] - fr
+        self.preds = self.preds[node_cut:].copy()
+        self.jno = self.jno[fr:] - node_cut
+        self.jro = self.jro[fr:] - root_cut
+        self.roots = self.roots[root_cut:] - node_cut
+        for name in ("unfin", "arr_ticks", "arrivals"):
+            setattr(self, name, getattr(self, name)[fr:].copy())
+        for name in ("dq_next", "dq_prev"):
+            setattr(self, name, _rebase(getattr(self, name)[node_cut:], node_cut))
+        self.rdy = self.rdy[node_cut:].copy()
+        for name in ("cur", "dq_head", "dq_tail"):
+            setattr(self, name, _rebase(getattr(self, name), node_cut))
+
+    def check(self, m: int, ks: _cext.KState) -> None:
+        """Refuse restored state that would index out of bounds in C.
+
+        Checkpoints are hash-verified against corruption, not forgery;
+        this is what stands between a loaded file and raw pointers.
+        """
+        n, e, j, r = len(self.works), len(self.et), self.n_jobs, len(self.roots)
+        # name: (length, smallest allowed value, bound), None: unbounded
+        spec = {
+            "eo": (n + 1, 0, e + 1), "et": (e, 0, n), "chain": (n, -1, n),
+            "job_of": (n, 0, j), "preds": (n, 0, None),
+            "jno": (j + 1, 0, n + 1), "jro": (j + 1, 0, r + 1),
+            "roots": (r, 0, n), "unfin": (j, 0, None),
+            "arr_ticks": (j, None, None), "arrivals": (j, None, None),
+            "dq_next": (n, -1, n), "dq_prev": (n, -1, n), "rdy": (n, None, None),
+            "cur": (m, -1, n), "fin": (m, None, None), "fails": (m, 0, None),
+            "dq_head": (m, -1, n), "dq_tail": (m, -1, n),
+            "raw": (_cext.BLOCK, 0, max(m - 1, 1)),
+        }
+        for name, (length, lo, hi) in spec.items():
+            a = getattr(self, name)
+            want = np.float64 if name == "arrivals" else np.int64
+            if a.dtype != want or a.shape != (length,) or (
+                length and ((lo is not None and a.min() < lo)
+                            or (hi is not None and a.max() >= hi))
+            ):
+                raise CacheCorruptError(
+                    f"checkpoint array {name!r} is malformed for this window"
+                )
+        if not (0 <= ks.q_head <= ks.next_arr <= j and 0 <= ks.p <= _cext.BLOCK):
+            raise CacheCorruptError("checkpoint kernel state is out of range")
+
+    def arena(self, a: _cext.Arena) -> None:
+        """Point ``a`` at the current arrays (after any replacement)."""
+        for name in _cext.ARENA_ARRAYS:
+            arr = getattr(self, name, None)  # no completions: flows instead
+            setattr(a, name, None if arr is None else arr.ctypes.data)
+        a.wn = self.n_jobs
+
+
 def _run_stream(
     stream: StreamSpec,
     m: int,
@@ -181,8 +309,8 @@ def _run_stream(
 ) -> StreamResult:
     """Simulate steal-k-first work stealing over a lazy workload stream.
 
-    Parameters mirror :func:`repro.sim.flat_engine._run_flat` where they
-    overlap (``m``, ``speed``, ``k``, ``seed``, ``steals_per_tick``,
+    Parameters mirror :func:`repro.sim.dispatch.run_work_stealing` where
+    they overlap (``m``, ``speed``, ``k``, ``seed``, ``steals_per_tick``,
     ``max_ticks``, ``_fast_forward``); ``seed`` must be a plain int or
     None because checkpoints serialize it.  Streaming-specific knobs:
 
@@ -201,22 +329,16 @@ def _run_stream(
         Testing knob: retire-compact once this many window jobs are
         complete (default: the stream's ``chunk_jobs``).  Any value
         produces identical results; only memory timing changes.
+
+    Raises :class:`~repro.errors.KernelUnavailableError` when the
+    compiled kernel cannot run on this host.
     """
     if not isinstance(stream, StreamSpec):
         raise TypeError(
             f"_run_stream needs a StreamSpec (got {type(stream).__name__}); "
             f"materialized instances go through engine='flat'"
         )
-    if m < 1:
-        raise ValueError(f"need at least one worker, got m={m}")
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
-    if k < 0:
-        raise ValueError(f"steal-k-first requires k >= 0, got {k}")
-    if steals_per_tick < 1:
-        raise ValueError(
-            f"steals_per_tick must be >= 1, got {steals_per_tick}"
-        )
+    _check_knobs(m, speed, k, steals_per_tick)
     if resume and checkpoint_dir is None:
         raise SweepConfigError(
             "resume=True needs checkpoint_dir: there is nowhere to resume "
@@ -228,26 +350,31 @@ def _run_stream(
             f"checkpoint_every must be >= 1 job, got {checkpoint_every}"
         )
     sigma = int(steals_per_tick)
-    n = stream.n_jobs
-    label = _scheduler_label(k, "uniform", False, "fifo")
-    token = _config_token(
-        stream, m, speed, k, sigma, quantiles, utilization_window
-    )
     compact_min = (
         int(_compact_min) if _compact_min is not None else stream.chunk_jobs
     )
     if compact_min < 1:
         raise ValueError(f"_compact_min must be >= 1, got {_compact_min}")
+    run = _cext.resolve_batch_kernel()  # the one kernel entry point
+    if run is None:
+        reason = _cext.kernel_unavailable_reason()
+        raise KernelUnavailableError(
+            f"streaming runs execute on the compiled tick kernel, which is "
+            f"unavailable here: {reason}.  Run the materialized twin "
+            f"instead -- repro.run('flat', stream.materialize(seed), ...) "
+            f"gives the same max flow and stats on any host.",
+            reason=reason,
+        )
+    n = stream.n_jobs
+    token = _config_token(
+        stream, m, speed, k, sigma, quantiles, utilization_window
+    )
 
     fstats = OnlineFlowStats(quantiles)
-    util = (
-        WindowedUtilization(m, utilization_window)
-        if utilization_window is not None
-        else None
-    )
-    sampler: Optional[SystemSampler] = util  # duck-typed protocol
+    util = None
+    if utilization_window is not None:
+        util = WindowedUtilization(m, utilization_window)
 
-    # ---- fresh initial state -------------------------------------------
     # StreamCursor validates the seed type and replaces None with drawn
     # entropy; seed_eff keys the victim RNG too, so the whole run --
     # generation and scheduling -- is a function of one integer.
@@ -255,518 +382,139 @@ def _run_stream(
     seed_eff = cursor.seed
     rng = make_rng(seed_eff)
 
-    if n == 0:
-        return StreamResult(
-            scheduler=label,
-            m=m,
-            speed=speed,
-            seed=seed_eff,
-            n_jobs=0,
-            max_flow=0.0,
-            argmax_job=None,
-            mean_flow=0.0,
-            quantiles={float(q): float("nan") for q in quantiles},
-            makespan=0.0,
-            stats=SimulationStats(
-                steal_attempts=0,
-                failed_steals=0,
-                admissions=0,
-                admission_wait_ticks=0,
-                ff_skipped_ticks=0,
-                max_queue_depth=0,
-            ),
-            peak_live_jobs=0,
-            segments_generated=0,
-            compactions=0,
-            utilization=util,
-        )
-
-    # Window-local tables: plain lists, only ever mutated IN PLACE (slice
-    # assignment / del / extend), never rebound -- _complete()'s
-    # default-bound references and the hot loop's locals must keep
-    # pointing at the same objects across pulls and compactions.
-    works: List[int] = []
-    eo: List[int] = [0]
-    et: List[int] = []
-    chain: List[int] = []
-    job_of: List[int] = []
-    preds: List[int] = []
-    jno: List[int] = [0]
-    jro: List[int] = [0]
-    roots_l: List[int] = []
-    unfin: List[int] = []
-    arr_ticks: List[int] = []
-    arrivals_w: List[float] = []
-
-    cur = [-1] * m  # current global node id, -1 when idle
-    fin = [_IDLE_AT] * m  # absolute tick at whose END cur[i] completes
-    fails = [0] * m  # consecutive failed steals (admission unlock)
-    deques: List[deque] = [deque() for _ in range(m)]
-    queue: deque = deque()  # FIFO of waiting window job ids
-    ne: set = set()  # workers with a non-empty deque
-
+    win = _Window(m, flow_log=bool(fstats.sketches), busy_log=util is not None)
+    # The kernel's float fields are OnlineFlowStats' scalar accumulators.
+    ks = _cext.KState(
+        nf=_cext.IDLE_AT, argmax_job=-1, busy_last=-1,
+        **{name: getattr(fstats, name) for name in _cext.KSTATE_FLOATS},
+    )
     if m > 1:
-        raw_np = rng.integers(0, m - 1, size=_BLOCK)
-        raw = raw_np.tolist()
-    else:
-        raw_np = None
-        raw = None
-    p = 0  # next unconsumed draw position in the current block
-    pos_of: Dict[int, list] = {}
+        # Same up-front first block as UniformVictim; the kernel refills
+        # lazily through the callback, so the PCG64 stream is drawn by
+        # the same numpy calls as every other engine.
+        win.raw[:] = rng.integers(0, m - 1, size=_cext.BLOCK)
 
-    t = 0
-    next_arr = 0  # window-local index of the next unreleased job
-    next_at = 0  # tick of that job's arrival (set after the first pull)
-    completed = 0
-    n_busy = 0
-    nf = _IDLE_AT  # min over busy workers of fin[i]
-    job_base = 0  # global id of window job 0
-    frontier = 0  # window-local: all jobs < frontier are complete
-    total_work_seen = 0
-    peak_live = 0
-    segments_generated = 0
-    compactions = 0
-    ckpt_index = 0
-    checkpoints_written = 0
-    last_ckpt_completed = 0
+    total_work_seen = peak_live = segments_generated = compactions = 0
+    ckpt_index = checkpoints_written = 0
     resumed_from: Optional[int] = None
-
-    st_att = 0
-    st_fail = 0
-    st_idle = 0
-    st_admwait = 0
-    st_ff = 0
-    st_maxq = 0
-    boundary = False  # force a sampler snapshot at the next loop top
+    returns = dict.fromkeys(_cext.RETURN_CAUSES, 0)
 
     # ---- restore from the newest checkpoint, if asked -------------------
     if resume and checkpoint_dir is not None:
         found = latest_checkpoint(checkpoint_dir)
         if found is not None:
             arrays, st = load_checkpoint(found, token)
-            works[:] = arrays["works"].tolist()
-            eo[:] = arrays["eo"].tolist()
-            et[:] = arrays["et"].tolist()
-            chain[:] = arrays["chain"].tolist()
-            job_of[:] = arrays["job_of"].tolist()
-            preds[:] = arrays["preds"].tolist()
-            jno[:] = arrays["jno"].tolist()
-            jro[:] = arrays["jro"].tolist()
-            roots_l[:] = arrays["roots"].tolist()
-            unfin[:] = arrays["unfin"].tolist()
-            arr_ticks[:] = arrays["arr_ticks"].tolist()
-            arrivals_w[:] = arrays["arrivals"].tolist()
-            cur[:] = arrays["cur"].tolist()
-            fin[:] = arrays["fin"].tolist()
-            fails[:] = arrays["fails"].tolist()
-            queue.clear()
-            queue.extend(arrays["queue"].tolist())
-            dq_flat = arrays["deque_items"]
-            dq_off = arrays["deque_offsets"].tolist()
-            for i in range(m):
-                deques[i].clear()
-                for x in range(dq_off[i], dq_off[i + 1]):
-                    deques[i].append((int(dq_flat[x, 0]), int(dq_flat[x, 1])))
-            ne.clear()
-            ne.update(int(v) for v in arrays["ne"].tolist())
-            if m > 1:
-                raw_np = np.ascontiguousarray(arrays["raw"])
-                raw = raw_np.tolist()
-            p = int(st["p"])
-            pos_of = {}  # lazily rebuilt; depends only on raw_np and p
+            for name in _Window.TABLES + _Window.WORKERS:
+                setattr(win, name, np.ascontiguousarray(arrays[name]))
+            for name, value in st["kernel"].items():
+                setattr(ks, name, value)
+            win.check(m, ks)
             rng.bit_generator.state = st["rng_state"]
             cursor = StreamCursor.restore(stream, st["cursor"])
             fstats.load_state(st["fstats"])
             if util is not None:
                 util.load_state(st["util"])
-            t = int(st["t"])
-            next_arr = int(st["next_arr"])
-            next_at = int(st["next_at"])
-            completed = int(st["completed"])
-            n_busy = int(st["n_busy"])
-            nf = int(st["nf"])
-            job_base = int(st["job_base"])
-            frontier = int(st["frontier"])
             total_work_seen = int(st["total_work_seen"])
             peak_live = int(st["peak_live"])
             segments_generated = int(st["segments"])
             compactions = int(st["compactions"])
             ckpt_index = int(st["index"]) + 1
             checkpoints_written = int(st["checkpoints_written"])
-            last_ckpt_completed = completed
-            st_att = int(st["st_att"])
-            st_fail = int(st["st_fail"])
-            st_idle = int(st["st_idle"])
-            st_admwait = int(st["st_admwait"])
-            st_ff = int(st["st_ff"])
-            st_maxq = int(st["st_maxq"])
-            boundary = bool(st["boundary"])
-            resumed_from = completed
+            resumed_from = ks.completed
             if telemetry is not None:
                 telemetry.emit(
-                    "ckpt.restore",
-                    path=str(found),
-                    completed=completed,
-                    tick=t,
+                    "ckpt.restore", path=str(found), completed=ks.completed,
+                    tick=ks.t,
                 )
 
-    scan_jit = _resolve_numba_scan() if m > 1 else None
-    flags = None
-    if scan_jit is not None:
-        flags = np.zeros(m, dtype=np.bool_)
-        for i in ne:
-            flags[i] = True
-
-    # Hot-path mirrors of the OnlineFlowStats scalar fields.  A method
-    # call per completion costs more than the whole inlined update, so
-    # the tick loop maintains these as plain locals and syncs them into
-    # ``fstats`` only where its state is actually read: checkpoint
-    # saves and the end of the run.  Sketch updates are the one
-    # per-completion cost that cannot be deferred; with no quantiles
-    # configured the tuple is empty and the loop is free.
-    fs_max = fstats.max_flow
-    fs_amax_job = fstats.argmax_job
-    fs_amax_c = fstats.argmax_completion
-    fs_sum = fstats.flow_sum
-    fs_last = fstats.last_completion
-    sk_updates = tuple(s.update for s in fstats.sketches.values())
-
-    # Helper closures: every name the tick loop reads is either passed
-    # explicitly or bound as a default argument here.  A free reference
-    # from any nested function would turn that name into a cell variable
-    # of _run_stream, downgrading every hot-loop access from LOAD_FAST
-    # to LOAD_DEREF -- a measured ~20% throughput loss.  Only the names
-    # the flat kernel also pays for (completed/n_busy/nf/idles_dirty via
-    # _complete, plus job_base) stay cells.
-    user_max_ticks = max_ticks
-
-    def _bound(
-        total_work_seen: int,
-        cursor=cursor,
-        speed=speed,
-        k=k,
-        m=m,
-        user_max_ticks=user_max_ticks,
-    ) -> int:
+    def _bound() -> int:
         """The reference feasibility bound, over the generated prefix.
 
         Grows as segments arrive; once the stream is exhausted it equals
-        the bound the flat kernel computes for the full instance.
+        the bound the materialized engines compute for the full instance.
         """
-        if user_max_ticks is not None:
-            return user_max_ticks
+        if max_ticks is not None:
+            return max_ticks
         last_tick = int(np.ceil(cursor.last_arrival * speed - 1e-9))
-        return (
-            int(
-                total_work_seen
-                + (k + 2) * cursor.emitted
-                + last_tick
-                + 64 * m
-                + 64
-            )
-            * 4
+        return 4 * int(
+            total_work_seen + (k + 2) * cursor.emitted + last_tick + 64 * m
+            + 64
         )
 
-    def _append_segment(
-        seg,
-        works=works,
-        eo=eo,
-        et=et,
-        chain=chain,
-        job_of=job_of,
-        preds=preds,
-        jno=jno,
-        jro=jro,
-        roots_l=roots_l,
-        unfin=unfin,
-        arr_ticks=arr_ticks,
-        arrivals_w=arrivals_w,
-        speed=speed,
-    ) -> int:
-        """Extend the window tables with one segment; returns its work.
-
-        The per-segment derived tables (in-degrees, chain links, roots)
-        are the vectorized _KernelTables computations; edges never cross
-        jobs, so per-segment derivation equals whole-instance derivation
-        restricted to the segment.
-        """
-        eo_np = seg.edge_offsets
-        et_np = seg.edge_targets
-        jno_np = seg.job_node_offsets
-        n_nodes = seg.n_nodes
-        indeg = np.bincount(et_np, minlength=n_nodes)
-        outdeg = np.diff(eo_np)
-        chain_np = np.full(n_nodes, -1, dtype=np.int64)
-        cand = np.flatnonzero(outdeg == 1)
-        if cand.size:
-            tgt = et_np[eo_np[cand]]
-            ok = indeg[tgt] == 1
-            chain_np[cand[ok]] = tgt[ok]
-        roots_np = np.flatnonzero(indeg == 0)
-        job_sizes = np.diff(jno_np)
-
-        node_base = len(works)
-        jb_local = len(unfin)
-        edge_base = len(et)
-        root_base = len(roots_l)
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()  # same rationale as flat_engine._kernel_tables
-        try:
-            works.extend(seg.node_works.tolist())
-            eo.extend((eo_np[1:] + edge_base).tolist())
-            et.extend((et_np + node_base).tolist())
-            chain.extend(
-                np.where(chain_np >= 0, chain_np + node_base, -1).tolist()
-            )
-            job_of.extend(
-                (
-                    np.repeat(np.arange(seg.n_jobs, dtype=np.int64), job_sizes)
-                    + jb_local
-                ).tolist()
-            )
-            preds.extend(indeg.tolist())
-            jno.extend((jno_np[1:] + node_base).tolist())
-            jro.extend(
-                (np.searchsorted(roots_np, jno_np[1:]) + root_base).tolist()
-            )
-            roots_l.extend((roots_np + node_base).tolist())
-            unfin.extend(job_sizes.tolist())
-            arr_ticks.extend(
-                np.ceil(seg.arrivals * speed - 1e-9).astype(np.int64).tolist()
-            )
-            arrivals_w.extend(seg.arrivals.tolist())
-        finally:
-            if was_enabled:
-                gc.enable()
-        return int(seg.node_works.sum())
-
-    def _advance_frontier(frontier: int, unfin=unfin) -> int:
-        wn = len(unfin)
-        while frontier < wn and unfin[frontier] == 0:
-            frontier += 1
-        return frontier
-
-    def _compact(
-        frontier: int,
-        next_arr: int,
-        job_base: int,
-        works=works,
-        eo=eo,
-        et=et,
-        chain=chain,
-        job_of=job_of,
-        preds=preds,
-        jno=jno,
-        jro=jro,
-        roots_l=roots_l,
-        unfin=unfin,
-        arr_ticks=arr_ticks,
-        arrivals_w=arrivals_w,
-        cur=cur,
-        deques=deques,
-        queue=queue,
-        m=m,
-    ) -> Tuple[int, int, int]:
-        """Drop the retired prefix and rewrite all live ids, in place.
-
-        Returns the shifted ``(frontier, next_arr, job_base)``.  Only
-        window-local *indices* change; every absolute quantity (ticks,
-        fin, nf, the RNG stream) is untouched, so compaction is
-        unobservable in the results (asserted via the ``_compact_min``
-        knob).  Retired jobs are fully complete: no worker, deque entry,
-        or queued job can reference the dropped prefix.
-        """
+    def _compact() -> None:
         nonlocal compactions
-        fr = frontier
+        fr = win.frontier()
         if fr == 0:
-            return frontier, next_arr, job_base
-        node_cut = jno[fr]
-        e_cut = eo[node_cut]
-        root_cut = jro[fr]
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
-            works[:] = works[node_cut:]
-            eo[:] = [x - e_cut for x in eo[node_cut:]]
-            et[:] = [x - node_cut for x in et[e_cut:]]
-            chain[:] = [
-                x - node_cut if x >= 0 else -1 for x in chain[node_cut:]
-            ]
-            job_of[:] = [x - fr for x in job_of[node_cut:]]
-            preds[:] = preds[node_cut:]
-            roots_l[:] = [x - node_cut for x in roots_l[root_cut:]]
-            jro[:] = [x - root_cut for x in jro[fr:]]
-            jno[:] = [x - node_cut for x in jno[fr:]]
-            del unfin[:fr]
-            del arr_ticks[:fr]
-            del arrivals_w[:fr]
-        finally:
-            if was_enabled:
-                gc.enable()
-        for i in range(m):
-            if cur[i] >= 0:
-                cur[i] -= node_cut
-            dq = deques[i]
-            if dq:
-                items = [(g - node_cut, rdy) for g, rdy in dq]
-                dq.clear()
-                dq.extend(items)
-        if queue:
-            items2 = [j - fr for j in queue]
-            queue.clear()
-            queue.extend(items2)
+            return
+        win.compact(fr)
+        ks.q_head -= fr
+        ks.next_arr -= fr
+        ks.job_base += fr
         compactions += 1
-        return 0, next_arr - fr, job_base + fr
 
-    def _pull_segment(
-        completed: int,
-        frontier: int,
-        next_arr: int,
-        job_base: int,
-        cursor=cursor,
-        unfin=unfin,
-        compact_min=compact_min,
-    ) -> Tuple[int, int, int]:
-        """Generate the next chunk; retire-compact first when worthwhile.
-
-        Returns the (possibly shifted) ``(frontier, next_arr, job_base)``.
-        """
+    def _pull_segment() -> None:
+        """Generate the next chunk; retire-compact first when worthwhile."""
         nonlocal peak_live, segments_generated, total_work_seen
-        frontier = _advance_frontier(frontier)
-        if frontier >= compact_min:
-            retired = frontier
-            before = len(unfin)
-            frontier, next_arr, job_base = _compact(
-                frontier, next_arr, job_base
-            )
+        retired = win.frontier()
+        if retired >= compact_min:
+            before = win.n_jobs
+            _compact()
             if telemetry is not None:
                 telemetry.emit(
-                    "stream.compact",
-                    retired=retired,
-                    window_before=before,
-                    window_after=len(unfin),
-                    completed=completed,
+                    "stream.compact", retired=retired, window_before=before,
+                    window_after=win.n_jobs, completed=ks.completed,
                 )
         seg = cursor.next_segment()
-        assert seg is not None  # caller checks cursor.exhausted first
-        total_work_seen += _append_segment(seg)
+        assert seg is not None  # the kernel asks only while not exhausted
+        win.append(seg, speed)
+        total_work_seen += int(seg.node_works.sum())
         segments_generated += 1
-        live = cursor.emitted - completed
+        live = cursor.emitted - ks.completed
         if live > peak_live:
             peak_live = live
         if telemetry is not None:
             telemetry.emit(
-                "stream.segment",
-                index=segments_generated - 1,
-                jobs=seg.n_jobs,
-                window_jobs=len(unfin),
-                live=live,
+                "stream.segment", index=segments_generated - 1,
+                jobs=seg.n_jobs, window_jobs=win.n_jobs, live=live,
             )
-        return frontier, next_arr, job_base
 
-    def _save_ckpt(
-        t: int,
-        next_arr: int,
-        next_at: int,
-        p: int,
-        job_base: int,
-        frontier: int,
-        boundary: bool,
-        raw_np,
-        st_att: int,
-        st_fail: int,
-        st_idle: int,
-        st_admwait: int,
-        st_ff: int,
-        st_maxq: int,
-        works=works,
-        eo=eo,
-        et=et,
-        chain=chain,
-        job_of=job_of,
-        preds=preds,
-        jno=jno,
-        jro=jro,
-        roots_l=roots_l,
-        unfin=unfin,
-        arr_ticks=arr_ticks,
-        arrivals_w=arrivals_w,
-        cur=cur,
-        fin=fin,
-        fails=fails,
-        deques=deques,
-        queue=queue,
-        ne=ne,
-        rng=rng,
-        cursor=cursor,
-        fstats=fstats,
-        util=util,
-        m=m,
-        k=k,
-        sigma=sigma,
-        speed=speed,
-    ) -> None:
-        """Durably snapshot every mutable value the loop can observe.
+    def _drain_logs() -> None:
+        """Feed the kernel's logs to the sketches and the sampler."""
+        if ks.flow_n:
+            flows = win.flow_log[: ks.flow_n].tolist()
+            for sketch in fstats.sketches.values():
+                update = sketch.update
+                for flow in flows:
+                    update(flow)
+            ks.flow_n = 0
+        if ks.busy_n:
+            pairs = win.busy_log[: 2 * ks.busy_n].tolist()
+            record = util.maybe_record
+            for x in range(0, len(pairs), 2):
+                record(pairs[x], pairs[x + 1])
+            ks.busy_n = 0
 
-        The loop-state scalars arrive as arguments (they are rebound
-        every tick); the window lists and accumulators are default-bound
-        (mutated in place, never rebound).
-        """
+    def _sync_fstats() -> None:
+        for name in _cext.KSTATE_FLOATS:
+            setattr(fstats, name, getattr(ks, name))
+        fstats.argmax_job = ks.argmax_job if ks.argmax_job >= 0 else None
+        fstats.count = ks.completed
+
+    def _save_ckpt() -> None:
+        """Durably snapshot every mutable value the loop can observe."""
         nonlocal ckpt_index, checkpoints_written
-        dq_off = [0]
-        dq_items: List[List[int]] = []
-        for i in range(m):
-            for g, rdy in deques[i]:
-                dq_items.append([g, rdy])
-            dq_off.append(len(dq_items))
+        _sync_fstats()
         arrays = {
-            "works": np.asarray(works, dtype=np.int64),
-            "eo": np.asarray(eo, dtype=np.int64),
-            "et": np.asarray(et, dtype=np.int64),
-            "chain": np.asarray(chain, dtype=np.int64),
-            "job_of": np.asarray(job_of, dtype=np.int64),
-            "preds": np.asarray(preds, dtype=np.int64),
-            "jno": np.asarray(jno, dtype=np.int64),
-            "jro": np.asarray(jro, dtype=np.int64),
-            "roots": np.asarray(roots_l, dtype=np.int64),
-            "unfin": np.asarray(unfin, dtype=np.int64),
-            "arr_ticks": np.asarray(arr_ticks, dtype=np.int64),
-            "arrivals": np.asarray(arrivals_w, dtype=np.float64),
-            "cur": np.asarray(cur, dtype=np.int64),
-            "fin": np.asarray(fin, dtype=np.int64),
-            "fails": np.asarray(fails, dtype=np.int64),
-            "queue": np.asarray(list(queue), dtype=np.int64),
-            "deque_items": np.asarray(dq_items, dtype=np.int64).reshape(-1, 2),
-            "deque_offsets": np.asarray(dq_off, dtype=np.int64),
-            "ne": np.asarray(sorted(ne), dtype=np.int64),
-            "raw": (
-                raw_np if raw_np is not None else np.zeros(0, dtype=np.int64)
-            ),
+            name: getattr(win, name)
+            for name in _Window.TABLES + _Window.WORKERS
         }
         state = {
-            "t": t,
-            "next_arr": next_arr,
-            "next_at": next_at,
-            "completed": completed,
-            "n_busy": n_busy,
-            "nf": nf,
-            "p": p,
-            "job_base": job_base,
-            "frontier": frontier,
+            "kernel": {name: getattr(ks, name) for name, _ in ks._fields_},
             "total_work_seen": total_work_seen,
             "peak_live": peak_live,
             "segments": segments_generated,
             "compactions": compactions,
             "checkpoints_written": checkpoints_written + 1,
-            "st_att": st_att,
-            "st_fail": st_fail,
-            "st_idle": st_idle,
-            "st_admwait": st_admwait,
-            "st_ff": st_ff,
-            "st_maxq": st_maxq,
-            "boundary": boundary,
             "rng_state": rng.bit_generator.state,
             "cursor": cursor.state_dict(),
             "fstats": fstats.state_dict(),
@@ -774,40 +522,28 @@ def _run_stream(
             "seed": seed_eff,
         }
         path = save_checkpoint(
-            checkpoint_dir,
-            ckpt_index,
-            arrays,
-            state,
-            token,
+            checkpoint_dir, ckpt_index, arrays, state, token,
             keep=keep_checkpoints,
         )
         manifest = build_manifest(
             "stream-checkpoint",
             config={
-                "stream": stream.spec_token(),
-                "m": m,
-                "speed": speed,
-                "k": k,
-                "steals_per_tick": sigma,
+                "stream": stream.spec_token(), "m": m, "speed": speed,
+                "k": k, "steals_per_tick": sigma,
                 "quantiles": [float(q) for q in quantiles],
                 "utilization_window": utilization_window,
             },
             seed=seed_eff,
             extra={
-                "checkpoint": str(path),
-                "completed": completed,
-                "tick": t,
-                "ckpt_index": ckpt_index,
+                "checkpoint": str(path), "completed": ks.completed,
+                "tick": ks.t, "ckpt_index": ckpt_index,
             },
         )
         write_manifest(manifest, Path(checkpoint_dir) / "manifests")
         if telemetry is not None:
             telemetry.emit(
-                "ckpt.save",
-                path=str(path),
-                completed=completed,
-                tick=t,
-                index=ckpt_index,
+                "ckpt.save", path=str(path), completed=ks.completed,
+                tick=ks.t, index=ckpt_index,
             )
         saved_index = ckpt_index
         ckpt_index += 1
@@ -818,561 +554,79 @@ def _run_stream(
 
     if telemetry is not None:
         telemetry.emit(
-            "stream.start",
-            n_jobs=n,
-            chunk_jobs=stream.chunk_jobs,
-            m=m,
-            k=k,
-            steals_per_tick=sigma,
-            speed=speed,
-            seed=seed_eff,
+            "stream.start", n_jobs=n, chunk_jobs=stream.chunk_jobs, m=m,
+            k=k, steals_per_tick=sigma, speed=speed, seed=seed_eff,
             resumed_from=resumed_from,
         )
 
     if resumed_from is None:
-        frontier, next_arr, job_base = _pull_segment(
-            completed, frontier, next_arr, job_base
-        )
-        next_at = arr_ticks[0]
-        t = next_at  # nothing can happen before the first arrival
+        _pull_segment()
+        ks.next_at = ks.t = int(win.arr_ticks[0])  # nothing happens before
 
-    max_ticks_eff = _bound(total_work_seen)
     ckpt_enabled = checkpoint_dir is not None
-    ff = _fast_forward
+    last_ckpt_completed = ks.completed
+    arena = _cext.Arena(
+        flow_cap=_LOG_CAP + m, busy_cap=_LOG_CAP, n=n, m=m, k=k,
+        sigma=sigma, fast_forward=int(_fast_forward), speed=speed,
+    )
 
-    idles: List[int] = []
-    idles_dirty = True
+    def _refill(_rep: int) -> None:
+        win.raw[:] = rng.integers(0, m - 1, size=_cext.BLOCK)
 
-    def _complete(
-        i: int,
-        end_tick: int,
-        # Free variables rebound as defaults (LOAD_FAST), exactly like
-        # the flat kernel; valid here because the window lists are only
-        # ever mutated in place, never rebound.
-        works=works,
-        chain=chain,
-        job_of=job_of,
-        eo=eo,
-        et=et,
-        preds=preds,
-        unfin=unfin,
-        cur=cur,
-        fin=fin,
-        deques=deques,
-        ne=ne,
-        arrivals_w=arrivals_w,
-        speed=speed,
-        flags=flags,
-        sk_updates=sk_updates,
-    ) -> None:
-        """flat_engine._complete over the window tables.
-
-        Identical cascade except job completion feeds the online
-        accumulators instead of a completions array.  Phase A inlines a
-        copy of this body; keep the two in sync.
-        """
-        nonlocal completed, n_busy, nf, idles_dirty
-        nonlocal fs_max, fs_amax_job, fs_amax_c, fs_sum, fs_last
-        g = cur[i]
-        j = job_of[g]
-        u = unfin[j] - 1
-        unfin[j] = u
-        cn = chain[g]
-        if cn >= 0:
-            cur[i] = cn
-            f = end_tick + works[cn]
-            fin[i] = f
-            if f < nf:
-                nf = f
-            return
-        lo = eo[g]
-        hi = eo[g + 1]
-        if u == 0:
-            c = (end_tick + 1) / speed
-            flow = c - arrivals_w[j]
-            if flow < 0.0:
-                flow = 0.0
-            fs_sum += flow
-            if flow > fs_max:
-                fs_max = flow
-                fs_amax_job = job_base + j
-                fs_amax_c = c
-            if c > fs_last:
-                fs_last = c
-            if sk_updates:
-                for _upd in sk_updates:
-                    _upd(flow)
-            completed += 1
-        if lo != hi:
-            if hi - lo == 1:
-                s2 = et[lo]
-                pc = preds[s2] - 1
-                preds[s2] = pc
-                if pc == 0:
-                    cur[i] = s2
-                    f = end_tick + works[s2]
-                    fin[i] = f
-                    if f < nf:
-                        nf = f
-                    return
-            else:
-                first = -1
-                extras = None
-                for s2 in et[lo:hi]:
-                    pc = preds[s2] - 1
-                    preds[s2] = pc
-                    if pc == 0:
-                        if first < 0:
-                            first = s2
-                        elif extras is None:
-                            extras = [s2]
-                        else:
-                            extras.append(s2)
-                if first >= 0:
-                    cur[i] = first
-                    f = end_tick + works[first]
-                    fin[i] = f
-                    if f < nf:
-                        nf = f
-                    if extras is not None:
-                        dq = deques[i]
-                        if not dq:
-                            ne.add(i)
-                            if flags is not None:
-                                flags[i] = True
-                        nt = end_tick + 1
-                        for s2 in extras:
-                            dq.append((s2, nt))
-                    return
-        dq = deques[i]
-        if dq:
-            g2 = dq.pop()[0]
-            if not dq:
-                ne.discard(i)
-                if flags is not None:
-                    flags[i] = False
-            cur[i] = g2
-            f = end_tick + works[g2]
-            fin[i] = f
-            if f < nf:
-                nf = f
-        else:
-            cur[i] = -1
-            fin[i] = _IDLE_AT
-            n_busy -= 1
-            idles_dirty = True
-
-    while completed < n:
-        # ---- release arrivals due at or before the current tick ---------
-        # Identical to the flat kernel, except draining the window may
-        # require pulling the next segment to learn the next arrival
-        # tick (one-chunk generation lookahead, the stream's only one).
-        if next_at <= t:
-            while True:
-                wn = len(unfin)
-                while next_arr < wn and arr_ticks[next_arr] <= t:
-                    queue.append(next_arr)
-                    next_arr += 1
-                if next_arr < wn:
-                    next_at = arr_ticks[next_arr]
-                    break
-                if cursor.exhausted:
-                    next_at = _IDLE_AT  # no further arrivals, ever
-                    break
-                frontier, next_arr, job_base = _pull_segment(
-                    completed, frontier, next_arr, job_base
-                )
-                max_ticks_eff = _bound(total_work_seen)
-            ql = len(queue)
-            if ql > st_maxq:
-                st_maxq = ql
-            if (
-                ckpt_enabled
-                and completed - last_ckpt_completed >= checkpoint_every
-            ):
-                # Post-release is a clean cut: every arrival <= t is
-                # released, so on resume the release block is skipped
-                # (next_at > t) and the loop continues exactly here.
-                frontier = _advance_frontier(frontier)
-                frontier, next_arr, job_base = _compact(
-                    frontier, next_arr, job_base
-                )
-                # Flush the hot-path mirrors so the serialized fstats
-                # state is current (count tracks completed exactly).
-                fstats.max_flow = fs_max
-                fstats.argmax_job = fs_amax_job
-                fstats.argmax_completion = fs_amax_c
-                fstats.flow_sum = fs_sum
-                fstats.last_completion = fs_last
-                fstats.count = completed
-                _save_ckpt(
-                    t, next_arr, next_at, p, job_base, frontier,
-                    boundary, raw_np, st_att, st_fail, st_idle,
-                    st_admwait, st_ff, st_maxq,
-                )
-                last_ckpt_completed = completed
-
-        if t >= max_ticks_eff:
+    refill = _cext.REFILL_CFUNC(_refill)
+    while True:
+        win.arena(arena)
+        arena.exhausted = int(cursor.exhausted)
+        arena.max_ticks = _bound()
+        # A checkpoint is due once ``checkpoint_every`` more jobs have
+        # completed since the last save (or the restore).
+        arena.ckpt_at = (
+            last_ckpt_completed + checkpoint_every if ckpt_enabled else 2**62
+        )
+        rc = run(ctypes.byref(arena), ctypes.byref(ks), refill, 0)
+        returns[_cext.RETURN_CAUSES[rc]] += 1
+        _drain_logs()
+        if rc == _cext.RC_DONE:
+            break
+        if rc == _cext.RC_NEED_SEGMENT:
+            _pull_segment()
+        elif rc == _cext.RC_CHECKPOINT:
+            # Post-release is a clean cut: every arrival <= t is
+            # released, so the resumed call skips the release block.
+            _compact()
+            _save_ckpt()
+            last_ckpt_completed = ks.completed
+        elif rc == _cext.RC_MAX_TICKS:
             raise RuntimeError(
-                f"work-stealing run exceeded max_ticks={max_ticks_eff} "
-                f"({completed}/{n} jobs complete) -- stream may be overloaded"
+                f"work-stealing run exceeded max_ticks={arena.max_ticks} "
+                f"({ks.completed}/{n} jobs complete) -- stream may be "
+                f"overloaded"
             )
+    if util is not None:
+        util.maybe_record(ks.t_top, ks.busy_last)  # the final loop top
+    _sync_fstats()
 
-        if sampler is not None:
-            if boundary:
-                sampler.record_boundary(t, n_busy, len(queue), len(ne), completed)
-                boundary = False
-            else:
-                sampler.maybe_record(t, n_busy, len(queue), len(ne), completed)
-
-        if ff:
-            # ---- fast-forward: whole system empty -----------------------
-            if n_busy == 0 and not queue:
-                gap = next_at - t
-                for i in range(m):
-                    f = fails[i] + gap * sigma
-                    fails[i] = f if f < k else k
-                st_idle += gap * m
-                st_ff += gap
-                if sampler is not None:
-                    sampler.record_boundary(t, 0, 0, len(ne), completed)
-                    boundary = True
-                t += gap
-                continue
-
-            # ---- fast-forward: every worker busy ------------------------
-            if n_busy == m:
-                blind = nf - t
-                if blind > 0:
-                    st_ff += blind
-                    if sampler is not None:
-                        sampler.record_boundary(
-                            t, n_busy, len(queue), len(ne), completed
-                        )
-                        boundary = True
-                    t += blind
-                    continue
-
-            # ---- fast-forward: nothing stealable, nothing admissible ----
-            elif not ne and n_busy > 0 and not queue:
-                delta = nf - t + 1
-                if next_at < _IDLE_AT and next_at - t < delta:
-                    delta = next_at - t
-                blind = delta - 1
-                if blind >= 1:
-                    n_idle = m - n_busy
-                    for i in range(m):
-                        if cur[i] < 0:
-                            f = fails[i] + blind * sigma
-                            fails[i] = f if f < k else k
-                    st_att += blind * n_idle * sigma
-                    st_fail += blind * n_idle * sigma
-                    st_ff += blind
-                    if sampler is not None:
-                        sampler.record_boundary(t, n_busy, 0, 0, completed)
-                        boundary = True
-                    t += blind
-                    continue
-
-        # ---- general tick -------------------------------------------------
-        if idles_dirty:
-            idles = []
-            for i in range(m):
-                if cur[i] < 0:
-                    idles.append(i)
-            idles_dirty = False
-
-        # Phase A: inlined copy of _complete() minus the nf upkeep (nf is
-        # recomputed wholesale); keep in sync with flat_engine phase A.
-        if nf == t:
-            nt = t + 1
-            nfi = _IDLE_AT
-            for i in range(m):
-                f = fin[i]
-                if f == t:
-                    g = cur[i]
-                    j = job_of[g]
-                    u = unfin[j] - 1
-                    unfin[j] = u
-                    cn = chain[g]
-                    if cn >= 0:
-                        cur[i] = cn
-                        f = t + works[cn]
-                        fin[i] = f
-                        if f < nfi:
-                            nfi = f
-                        continue
-                    lo = eo[g]
-                    hi = eo[g + 1]
-                    if u == 0:
-                        c = nt / speed
-                        flow = c - arrivals_w[j]
-                        if flow < 0.0:
-                            flow = 0.0
-                        fs_sum += flow
-                        if flow > fs_max:
-                            fs_max = flow
-                            fs_amax_job = job_base + j
-                            fs_amax_c = c
-                        if c > fs_last:
-                            fs_last = c
-                        if sk_updates:
-                            for _upd in sk_updates:
-                                _upd(flow)
-                        completed += 1
-                    if lo != hi:
-                        if hi - lo == 1:
-                            s2 = et[lo]
-                            pc = preds[s2] - 1
-                            preds[s2] = pc
-                            if pc == 0:
-                                cur[i] = s2
-                                f = t + works[s2]
-                                fin[i] = f
-                                if f < nfi:
-                                    nfi = f
-                                continue
-                        else:
-                            first = -1
-                            extras = None
-                            for s2 in et[lo:hi]:
-                                pc = preds[s2] - 1
-                                preds[s2] = pc
-                                if pc == 0:
-                                    if first < 0:
-                                        first = s2
-                                    elif extras is None:
-                                        extras = [s2]
-                                    else:
-                                        extras.append(s2)
-                            if first >= 0:
-                                cur[i] = first
-                                f = t + works[first]
-                                fin[i] = f
-                                if f < nfi:
-                                    nfi = f
-                                if extras is not None:
-                                    dq = deques[i]
-                                    if not dq:
-                                        ne.add(i)
-                                        if flags is not None:
-                                            flags[i] = True
-                                    for s2 in extras:
-                                        dq.append((s2, nt))
-                                continue
-                    dq = deques[i]
-                    if dq:
-                        g2 = dq.pop()[0]
-                        if not dq:
-                            ne.discard(i)
-                            if flags is not None:
-                                flags[i] = False
-                        cur[i] = g2
-                        f = t + works[g2]
-                        fin[i] = f
-                    else:
-                        cur[i] = -1
-                        f = _IDLE_AT
-                        fin[i] = f
-                        n_busy -= 1
-                        idles_dirty = True
-                if f < nfi:
-                    nfi = f
-            nf = nfi
-
-        # Phase B: keep in sync with flat_engine phase B (verbatim except
-        # jro/roots_l are the window tables).
-        for i in idles:
-            budget = sigma
-            while budget > 0:
-                fi = fails[i]
-                if fi >= k and queue:
-                    jb = queue.popleft()
-                    ro = jro[jb]
-                    rhi = jro[jb + 1]
-                    r0 = roots_l[ro]
-                    cur[i] = r0
-                    fails[i] = 0
-                    n_busy += 1
-                    idles_dirty = True
-                    st_admwait += t - arr_ticks[jb]
-                    if rhi - ro > 1:
-                        dq = deques[i]
-                        if not dq:
-                            ne.add(i)
-                            if flags is not None:
-                                flags[i] = True
-                        for x in range(ro + 1, rhi):
-                            dq.append((roots_l[x], t))
-                    if sigma > 1:
-                        if works[r0] == 1:
-                            _complete(i, t)
-                        else:
-                            f = t + works[r0] - 1
-                            fin[i] = f
-                            if f < nf:
-                                nf = f
-                    else:
-                        f = t + works[r0]
-                        fin[i] = f
-                        if f < nf:
-                            nf = f
-                    break
-                if not ne:
-                    if queue and k - fi <= budget:
-                        burned = k - fi
-                    else:
-                        burned = budget
-                    f2 = fi + burned
-                    fails[i] = f2 if f2 < k else k
-                    st_att += burned
-                    st_fail += burned
-                    budget -= burned
-                    if budget > 0:
-                        continue
-                    break
-                allowed = budget
-                if queue:
-                    d = k - fi
-                    if d < allowed:
-                        allowed = d
-                got = -1
-                while True:
-                    if p == _BLOCK:
-                        raw_np = rng.integers(0, m - 1, size=_BLOCK)
-                        raw = raw_np.tolist()
-                        p = 0
-                        pos_of = {}
-                    stop = p + allowed
-                    if stop > _BLOCK:
-                        stop = _BLOCK
-                    if scan_jit is not None:
-                        got = int(scan_jit(raw_np, flags, p, stop, i))
-                    elif allowed < _SHORT_BURST or 2 * len(ne) >= m - 1:
-                        got = -1
-                        for jdx in range(p, stop):
-                            v = raw[jdx]
-                            if v >= i:
-                                v += 1
-                            if deques[v]:
-                                got = jdx
-                                break
-                    else:
-                        best = stop
-                        for s in ne:
-                            if s == i:
-                                continue
-                            c2 = s if s < i else s - 1
-                            entry = pos_of.get(c2)
-                            if entry is None:
-                                lst = np.flatnonzero(raw_np == c2).tolist()
-                                lst.append(_BLOCK)
-                                entry = [lst, 0]
-                                pos_of[c2] = entry
-                            lst = entry[0]
-                            q = entry[1]
-                            pos = lst[q]
-                            while pos < p:
-                                q += 1
-                                pos = lst[q]
-                            entry[1] = q
-                            if pos < best:
-                                best = pos
-                        got = best if best < stop else -1
-                    if got >= 0:
-                        n_failed = got - p
-                        fails[i] += n_failed
-                        st_att += n_failed + 1
-                        st_fail += n_failed
-                        budget -= n_failed + 1
-                        p = got + 1
-                        break
-                    n_failed = stop - p
-                    fails[i] += n_failed
-                    st_att += n_failed
-                    st_fail += n_failed
-                    budget -= n_failed
-                    allowed -= n_failed
-                    p = stop
-                    if allowed == 0:
-                        break
-                if got < 0:
-                    continue
-                v = raw[got]
-                victim = v + 1 if v >= i else v
-                vdq = deques[victim]
-                g2, rdy = vdq.popleft()
-                if not vdq:
-                    ne.discard(victim)
-                    if flags is not None:
-                        flags[victim] = False
-                cur[i] = g2
-                fails[i] = 0
-                n_busy += 1
-                idles_dirty = True
-                if sigma > 1 and rdy <= t:
-                    if works[g2] == 1:
-                        _complete(i, t)
-                    else:
-                        f = t + works[g2] - 1
-                        fin[i] = f
-                        if f < nf:
-                            nf = f
-                else:
-                    f = t + works[g2]
-                    fin[i] = f
-                    if f < nf:
-                        nf = f
-                break
-
-        t += 1
-
-    fstats.max_flow = fs_max
-    fstats.argmax_job = fs_amax_job
-    fstats.argmax_completion = fs_amax_c
-    fstats.flow_sum = fs_sum
-    fstats.last_completion = fs_last
-    fstats.count = completed
-
-    stats = SimulationStats()
-    stats.busy_steps = total_work_seen
-    stats.steal_attempts = st_att
-    stats.failed_steals = st_fail
-    stats.admissions = n
-    stats.idle_steps = st_idle
-    stats.elapsed_ticks = t
-    stats.admission_wait_ticks = st_admwait
-    stats.ff_skipped_ticks = st_ff
-    stats.max_queue_depth = st_maxq
+    stats = SimulationStats(
+        busy_steps=total_work_seen, admissions=n, elapsed_ticks=ks.t,
+        **{name: getattr(ks, name) for name in _cext.KSTATE_STATS},
+    )
 
     result = StreamResult(
-        scheduler=label,
-        m=m,
-        speed=speed,
-        seed=seed_eff,
-        n_jobs=n,
-        max_flow=fstats.max_flow,
-        argmax_job=fstats.argmax_job,
-        mean_flow=fstats.mean_flow,
-        quantiles=fstats.quantile_estimates(),
-        makespan=fstats.last_completion,
-        stats=stats,
-        peak_live_jobs=peak_live,
-        segments_generated=segments_generated,
-        compactions=compactions,
-        checkpoints_written=checkpoints_written,
-        resumed_from=resumed_from,
-        utilization=util,
+        scheduler=_scheduler_label(k, "uniform", False, "fifo"),
+        m=m, speed=speed, seed=seed_eff, n_jobs=n,
+        max_flow=fstats.max_flow, argmax_job=fstats.argmax_job,
+        mean_flow=fstats.mean_flow, quantiles=fstats.quantile_estimates(),
+        makespan=fstats.last_completion, stats=stats,
+        peak_live_jobs=peak_live, segments_generated=segments_generated,
+        compactions=compactions, checkpoints_written=checkpoints_written,
+        resumed_from=resumed_from, utilization=util,
     )
     if telemetry is not None:
         telemetry.emit(
-            "stream.done",
-            max_flow=result.max_flow,
-            completed=completed,
-            elapsed_ticks=t,
-            peak_live_jobs=peak_live,
-            segments=segments_generated,
-            compactions=compactions,
+            "stream.done", max_flow=result.max_flow, completed=ks.completed,
+            elapsed_ticks=ks.t, peak_live_jobs=peak_live,
+            segments=segments_generated, compactions=compactions,
             checkpoints=checkpoints_written,
+            kernel_calls=sum(returns.values()), returns=returns,
         )
     return result

@@ -41,6 +41,16 @@ def _hermetic_cache(tmp_path_factory):
         os.environ["REPRO_CACHE"] = previous
 
 
+def pytest_runtest_setup(item):
+    """Skip ``needs_kernel`` tests where the compiled kernel cannot run."""
+    if item.get_closest_marker("needs_kernel") is not None:
+        from repro.sim import _cext
+
+        reason = _cext.kernel_unavailable_reason()
+        if reason is not None:
+            pytest.skip(f"needs the compiled tick kernel: {reason}")
+
+
 def use_reference_engine(mp) -> None:
     """Force dispatched runs onto the reference engine, through ``mp``.
 

@@ -120,6 +120,27 @@ class TestTelemetryCli:
         with pytest.raises(SystemExit):
             main(["telemetry", str(tmp_path / "nope.jsonl")])
 
+    def test_cache_dir_without_resume_rejected(self, tmp_path, capsys):
+        """--cache-dir alone used to be ignored silently; now exit 2."""
+        with pytest.raises(SystemExit) as info:
+            main(["fig2a", "--n-jobs", "20", "--reps", "1",
+                  "--cache-dir", str(tmp_path / "cache")])
+        assert info.value.code == 2
+        assert "--resume" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
+    def test_cache_dir_with_resume_caches_cells(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        # main() routes both flags through the environment; registering
+        # them here makes monkeypatch restore the suite's values after.
+        monkeypatch.setenv("REPRO_CACHE", str(cache))
+        monkeypatch.setenv("REPRO_RESUME", "0")
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        args = ["fig2a", "--n-jobs", "20", "--reps", "1",
+                "--cache-dir", str(cache), "--resume"]
+        assert main(args) == 0
+        assert list(cache.glob("cells/*.json"))
+
     def test_log_path_rejected_for_experiments(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["fig3", str(tmp_path / "events.jsonl")])

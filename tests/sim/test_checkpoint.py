@@ -11,6 +11,7 @@ max flow, full stats, P^2 sketches, utilization integral, everything.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.errors import CacheCorruptError, SweepConfigError
+from repro.errors import CacheCorruptError, FaultInjected, SweepConfigError
 from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA,
     checkpoint_path,
@@ -30,8 +31,8 @@ from repro.sim.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.sim.stream_engine import _run_stream
-from repro.testing.faults import KILL_EXIT_CODE
+from repro.sim.stream_engine import _config_token, _run_stream
+from repro.testing.faults import KILL_EXIT_CODE, clear_fault_state
 from repro.workloads.distributions import BingDistribution
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.stream import StreamSpec
@@ -127,8 +128,6 @@ class TestIntegrityGuards:
         with open(path, "wb") as fh:
             np.savez(fh, **arrays, **{"__state__": blob})
         sidecar = path.with_name(path.name + ".sha256")
-        import hashlib
-
         sidecar.write_text(hashlib.sha256(path.read_bytes()).hexdigest())
         with pytest.raises(CacheCorruptError, match="schema"):
             load_checkpoint(path, "cfg")
@@ -139,6 +138,7 @@ class TestIntegrityGuards:
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.needs_kernel
 class TestEngineCheckpointing:
     def test_checkpoints_written_and_bounded(self, tmp_path):
         stream = make_stream()
@@ -170,6 +170,45 @@ class TestEngineCheckpointing:
         )
         assert sr.resumed_from is None
         assert sr.n_jobs == 600
+
+    def test_resume_refuses_schema_1_checkpoint(self, tmp_path):
+        """The Python stream loop's layout (schema 1) is not resumable."""
+        stream = make_stream(n_jobs=600, chunk_jobs=200)
+        token = _config_token(stream, 4, 1.0, 4, 1, (0.5, 0.9, 0.99), None)
+        path = save_checkpoint(tmp_path, 0, ARRAYS, STATE, token)
+        arrays, state = load_checkpoint(path, token)
+        state["schema"] = "repro-stream-ckpt/1"
+        blob = np.frombuffer(json.dumps(state).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays, **{"__state__": blob})
+        sidecar = path.with_name(path.name + ".sha256")
+        sidecar.write_text(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert CHECKPOINT_SCHEMA == "repro-stream-ckpt/2"
+        with pytest.raises(CacheCorruptError, match="fresh run"):
+            _run_stream(
+                stream, 4, k=4, seed=5, checkpoint_dir=tmp_path, resume=True
+            )
+
+    def test_resume_refuses_out_of_bounds_state(self, tmp_path):
+        """A re-hashed file with a bad id never reaches the C kernel."""
+        stream = make_stream(n_jobs=1200, chunk_jobs=200)
+        _run_stream(
+            stream, 4, k=4, seed=7,
+            checkpoint_dir=tmp_path, checkpoint_every=300,
+        )
+        path = latest_checkpoint(tmp_path)
+        token = _config_token(stream, 4, 1.0, 4, 1, (0.5, 0.9, 0.99), None)
+        arrays, state = load_checkpoint(path, token)
+        arrays["cur"] = np.full_like(arrays["cur"], 1 << 40)
+        blob = np.frombuffer(json.dumps(state).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays, **{"__state__": blob})
+        sidecar = path.with_name(path.name + ".sha256")
+        sidecar.write_text(hashlib.sha256(path.read_bytes()).hexdigest())
+        with pytest.raises(CacheCorruptError, match="'cur'"):
+            _run_stream(
+                stream, 4, k=4, seed=7, checkpoint_dir=tmp_path, resume=True
+            )
 
     def test_resume_refuses_foreign_config(self, tmp_path):
         stream = make_stream(n_jobs=1200, chunk_jobs=200)
@@ -214,6 +253,7 @@ _RESUME_ONLY = {
 }
 
 
+@pytest.mark.needs_kernel
 class TestKillResume:
     @pytest.mark.parametrize("kill_index", [0, 2])
     def test_killed_run_resumes_float_identically(self, tmp_path, kill_index):
@@ -257,3 +297,37 @@ class TestKillResume:
             resumed.utilization.busy_integral
             == reference.utilization.busy_integral
         )
+
+
+@pytest.mark.needs_kernel
+class TestResumeAtEveryCheckpoint:
+    def test_every_checkpoint_resumes_identically(self, tmp_path, monkeypatch):
+        """Interrupt right after save K, resume: same floats, every K."""
+        stream = make_stream(n_jobs=1500, chunk_jobs=200)
+        kw = dict(
+            k=4, seed=23, quantiles=(0.5, 0.9, 0.99),
+            utilization_window=256, checkpoint_every=250,
+        )
+        reference = _run_stream(stream, 4, checkpoint_dir=tmp_path / "ref", **kw)
+        assert reference.checkpoints_written >= 3
+        ref = reference.summary()
+        for index in range(reference.checkpoints_written):
+            run_dir = tmp_path / f"interrupted-{index}"
+            monkeypatch.setenv("REPRO_FAULTS", f"raise:checkpoint:index={index}")
+            clear_fault_state()
+            with pytest.raises(FaultInjected):
+                _run_stream(stream, 4, checkpoint_dir=run_dir, **kw)
+            monkeypatch.delenv("REPRO_FAULTS")
+            clear_fault_state()
+            resumed = _run_stream(
+                stream, 4, checkpoint_dir=run_dir, resume=True, **kw
+            )
+            assert resumed.resumed_from is not None
+            res = resumed.summary()
+            for key in set(ref) - _RESUME_ONLY:
+                assert res[key] == ref[key], (index, key)
+            assert (
+                resumed.utilization.state_dict()
+                == reference.utilization.state_dict()
+            ), index
+            assert resumed.checkpoints_written == reference.checkpoints_written

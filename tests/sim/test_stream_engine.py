@@ -8,6 +8,10 @@ assertions compare ``max_flow`` with ``==`` (never ``approx``) and the
 full ``SimulationStats`` dict field by field, across chunk sizes, k,
 sigma, speeds and seeds.  Compaction frequency (``_compact_min``) must
 be unobservable for the same reason.
+
+Streaming runs execute on the compiled kernel only; tests that run one
+are marked ``needs_kernel`` (skipped where it cannot be built), and
+``TestWithoutKernel`` pins the typed error a host without it raises.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.errors import SweepConfigError
+from repro.errors import KernelUnavailableError, SweepConfigError
 from repro.obs import Telemetry
 from repro.sim.flat_engine import _run_flat
 from repro.sim.stream_engine import StreamResult, _run_stream
@@ -26,6 +30,7 @@ from repro.workloads.distributions import (
 )
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.stream import StreamSpec
+from tests.conftest import use_reference_engine
 
 
 def make_stream(
@@ -59,6 +64,7 @@ def assert_equivalent(sr: StreamResult, stream: StreamSpec, **engine_kw):
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.needs_kernel
 class TestBitIdentity:
     @pytest.mark.parametrize(
         "n,chunk,m,k,sigma,speed",
@@ -120,6 +126,7 @@ class TestBitIdentity:
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.needs_kernel
 class TestOnlineMetrics:
     def test_quantile_estimates_near_exact_flows(self):
         stream = make_stream(n_jobs=800, chunk_jobs=128)
@@ -173,6 +180,7 @@ class TestOnlineMetrics:
 
 
 class TestEdgeCases:
+    @pytest.mark.needs_kernel
     def test_single_job_stream(self):
         stream = make_stream(n_jobs=1, chunk_jobs=1)
         sr = _run_stream(stream, 4, seed=0)
@@ -207,6 +215,7 @@ class TestEdgeCases:
         with pytest.raises(SweepConfigError, match="checkpoint_dir"):
             _run_stream(stream, 4, seed=0, resume=True)
 
+    @pytest.mark.needs_kernel
     def test_max_ticks_overload_guard(self):
         stream = make_stream(n_jobs=100, chunk_jobs=50)
         with pytest.raises(RuntimeError, match="max_ticks"):
@@ -219,6 +228,7 @@ class TestEdgeCases:
 
 
 class TestRunFacade:
+    @pytest.mark.needs_kernel
     def test_run_stream_matches_run_flat(self):
         stream = make_stream(n_jobs=300, chunk_jobs=75)
         sr = repro.run("flat", stream=stream, m=4, seed=3, k=4)
@@ -227,6 +237,7 @@ class TestRunFacade:
         assert sr.max_flow == fr.max_flow
         assert sr.stats.as_dict() == fr.stats.as_dict()
 
+    @pytest.mark.needs_kernel
     def test_run_forwards_engine_kwargs(self):
         stream = make_stream(n_jobs=150, chunk_jobs=50)
         sr = repro.run(
@@ -236,6 +247,7 @@ class TestRunFacade:
         assert set(sr.quantiles) == {0.5}
         assert sr.utilization is not None
 
+    @pytest.mark.needs_kernel
     def test_telemetry_wraps_stream_events(self):
         stream = make_stream(n_jobs=100, chunk_jobs=25)
         tel = Telemetry()
@@ -246,6 +258,14 @@ class TestRunFacade:
         assert names.index("run.start") < names.index("stream.start")
         assert names.index("stream.done") < names.index("run.done")
         assert any(n == "stream.segment" for n in names)
+        by_name = {e["event"]: e for e in tel.events}
+        for name in ("run.start", "run.done"):
+            assert by_name[name]["engine"] == "cext"
+            assert by_name[name]["reason"] == "stream window"
+        done = by_name["stream.done"]
+        assert done["returns"]["done"] == 1
+        assert done["returns"]["need_segment"] == 3  # 4 segments, 1 up front
+        assert done["kernel_calls"] == sum(done["returns"].values())
 
     # -- misconfiguration: every path raises SweepConfigError ----------
 
@@ -282,3 +302,29 @@ class TestRunFacade:
                 make_stream().spec,
                 stream=stream,
             )
+
+
+# ----------------------------------------------------------------------
+# Hosts without the compiled kernel
+# ----------------------------------------------------------------------
+
+
+class TestWithoutKernel:
+    """No Python fallback: a typed error that says what to do instead."""
+
+    def test_stream_run_raises_kernel_unavailable(self, monkeypatch):
+        use_reference_engine(monkeypatch)
+        stream = make_stream(n_jobs=10, chunk_jobs=10)
+        with pytest.raises(KernelUnavailableError) as info:
+            _run_stream(stream, 4, seed=0)
+        assert info.value.reason == "REPRO_CEXT=0"
+        assert "REPRO_CEXT=0" in str(info.value)
+        assert "materialize(seed)" in str(info.value)
+
+    def test_facade_raises_too_and_materialized_still_runs(self, monkeypatch):
+        use_reference_engine(monkeypatch)
+        stream = make_stream(n_jobs=30, chunk_jobs=10)
+        with pytest.raises(KernelUnavailableError):
+            repro.run("flat", stream=stream, m=4, seed=1)
+        fr = repro.run("flat", stream.materialize(1), m=4, seed=1)
+        assert fr.n_jobs == 30

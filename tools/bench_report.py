@@ -102,6 +102,14 @@ DERIVED_RATIOS = {
         "test_stream_engine_throughput",
         "test_flat_materialized_throughput",
     ),
+    # The same streaming run vs materializing the instance and running
+    # it through repro.sim.dispatch (the compiled kernel), same seed:
+    # what the window's Python side costs on top of the kernel.
+    # bench_gate.py --min-derived stream_vs_dispatch:0.3 enforces it.
+    "stream_vs_dispatch": (
+        "test_stream_engine_throughput",
+        "test_dispatch_materialized_throughput",
+    ),
     # The default WorkStealingScheduler.run -- routed by
     # repro.sim.dispatch, i.e. the compiled kernel when the host has
     # one -- vs the reference tick engine, same instance, knobs and

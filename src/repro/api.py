@@ -560,7 +560,8 @@ def sweep(
     grid:
         Parameter name -> values to sweep (full cross product).
     workload:
-        Callable mapping a derived repetition seed to an instance; a
+        Callable mapping a derived repetition seed to an instance (a
+        ``JobSet`` or a ``FlatInstance``, e.g. ``spec.build_flat``); a
         :class:`~repro.workloads.WorkloadSpec` works directly and
         additionally unlocks the instance cache and the vectorized
         build path.

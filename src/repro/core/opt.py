@@ -18,16 +18,21 @@ Two refinements preserved from the theory:
   it against OPT at speed 1, which is how the benches use this class.
 
 The computation is a single O(n) pass (jobs are already in arrival
-order), so OPT curves are essentially free next to the simulations.
+order), so OPT curves are essentially free next to the simulations.  It
+reads a :class:`~repro.dag.job.JobSet` or, without building any object
+graph, a :class:`~repro.dag.flat.FlatInstance` (per-job works and spans
+from :func:`~repro.dag.flat.job_works` / :func:`~repro.dag.flat.job_spans`);
+both give bit-identical results.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.core.base import Scheduler
+from repro.dag.flat import FlatInstance, job_spans, job_works
 from repro.dag.job import JobSet
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.rng import SeedLike
@@ -35,7 +40,7 @@ from repro.sim.trace import TraceRecorder
 
 
 def opt_lower_bound(
-    jobset: JobSet,
+    jobset: Union[JobSet, FlatInstance],
     m: int,
     speed: float = 1.0,
     use_span_bound: bool = True,
@@ -45,7 +50,9 @@ def opt_lower_bound(
     Parameters
     ----------
     jobset:
-        The instance.
+        The instance, as a :class:`JobSet` or a :class:`FlatInstance`
+        (whose jobs are taken in arrival order, as ``to_jobset`` would
+        order them).
     m:
         Number of processors of the hypothetical optimal schedule.
     speed:
@@ -72,23 +79,35 @@ def opt_lower_bound(
     if speed <= 0:
         raise ValueError(f"speed must be positive, got {speed}")
 
-    arrivals = np.asarray(jobset.arrivals, dtype=np.float64)
-    works = np.asarray(jobset.works, dtype=np.float64)
-    spans = np.asarray(jobset.spans, dtype=np.float64)
-    weights = np.asarray(jobset.weights, dtype=np.float64)
-    n = arrivals.size
+    if isinstance(jobset, FlatInstance):
+        arrivals = np.array(jobset.arrivals, dtype=np.float64)
+        weights = np.array(jobset.weights, dtype=np.float64)
+        works = job_works(jobset).astype(np.float64)
+        spans = job_spans(jobset).astype(np.float64)
+        if np.any(arrivals[1:] < arrivals[:-1]):
+            # JobSet order: by arrival, ties by position (a stable sort).
+            order = np.argsort(arrivals, kind="stable")
+            arrivals, weights, works, spans = (
+                a[order] for a in (arrivals, weights, works, spans)
+            )
+    else:
+        arrivals = np.asarray(jobset.arrivals, dtype=np.float64)
+        works = np.asarray(jobset.works, dtype=np.float64)
+        spans = np.asarray(jobset.spans, dtype=np.float64)
+        weights = np.asarray(jobset.weights, dtype=np.float64)
 
     # Single-machine FIFO on sequential jobs of size W_i / m at the given
     # speed: c_i = max(r_i, c_{i-1}) + W_i / (m * speed), in arrival order.
-    service = works / (m * speed)
-    completions = np.empty(n, dtype=np.float64)
+    # (Python floats are the same IEEE doubles, and loop faster.)
+    service = (works / (m * speed)).tolist()
+    clocks = []
     clock = 0.0
-    for i in range(n):
-        a = arrivals[i]
+    for a, s in zip(arrivals.tolist(), service):
         if a > clock:
             clock = a
-        clock += service[i]
-        completions[i] = clock
+        clock += s
+        clocks.append(clock)
+    completions = np.array(clocks, dtype=np.float64)
 
     if use_span_bound:
         np.maximum(completions, arrivals + spans / speed, out=completions)
@@ -116,6 +135,10 @@ class OptLowerBound(Scheduler):
 
     clairvoyant = True
 
+    #: :meth:`run` reads a :class:`FlatInstance` directly, so callers
+    #: holding CSR arrays never build the object graph for OPT.
+    consumes_flat = True
+
     def __init__(self, use_span_bound: bool = True) -> None:
         self.use_span_bound = use_span_bound
 
@@ -125,7 +148,7 @@ class OptLowerBound(Scheduler):
 
     def run(
         self,
-        jobset: JobSet,
+        jobset: Union[JobSet, FlatInstance],
         m: int,
         speed: float = 1.0,
         seed: SeedLike = None,

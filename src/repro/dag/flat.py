@@ -309,6 +309,113 @@ def kernel_tables(
 
 
 # ----------------------------------------------------------------------
+# Per-job scalars (what OPT reads)
+# ----------------------------------------------------------------------
+
+
+#: Node budget of one :func:`job_spans` block.  Edges never cross jobs,
+#: so runs of whole jobs are independent; bounding a run bounds the
+#: temporaries (a 3M-node instance would otherwise allocate a dozen
+#: full-length arrays at its widest level).
+_SPAN_BLOCK_NODES = 1 << 18
+
+
+def _per_job(
+    ufunc: np.ufunc, node_values: np.ndarray, job_offsets: np.ndarray
+) -> np.ndarray:
+    """``ufunc``-reduce ``node_values`` over each job's nodes (0 if none)."""
+    out = np.zeros(len(job_offsets) - 1, dtype=np.int64)
+    nonempty = job_offsets[1:] > job_offsets[:-1]
+    if nonempty.any():
+        out[nonempty] = ufunc.reduceat(node_values, job_offsets[:-1][nonempty])
+    return out
+
+
+def job_works(flat: FlatInstance) -> np.ndarray:
+    """Per-job total work ``W_i``, ``int64[n_jobs]`` (= ``JobSet.works``)."""
+    return _per_job(np.add, flat.node_works, flat.job_node_offsets)
+
+
+def job_spans(flat: FlatInstance) -> np.ndarray:
+    """Per-job critical-path length ``P_i``, ``int64[n_jobs]``.
+
+    Equals ``JobSet.spans`` for any node numbering inside a job (node
+    ids need not be topologically ordered).  Runs Kahn's algorithm on
+    blocks of whole jobs (see :func:`_finish_times`), so the cost is
+    O(nodes + edges) numpy work plus one vectorized step per DAG level
+    and block.  Raises :class:`~repro.dag.graph.DagValidationError` on a
+    cycle.
+    """
+    offsets = flat.job_node_offsets
+    edge_offsets = flat.edge_offsets
+    spans = np.zeros(flat.n_jobs, dtype=np.int64)
+    j = 0
+    while j < flat.n_jobs:
+        lo = int(offsets[j])
+        # Jobs j..k-1: as many as fit the node budget, at least one.
+        k = int(np.searchsorted(offsets, lo + _SPAN_BLOCK_NODES, "right")) - 1
+        k = max(k, j + 1)
+        hi = int(offsets[k])
+        e_lo, e_hi = int(edge_offsets[lo]), int(edge_offsets[hi])
+        finish = _finish_times(
+            flat.node_works[lo:hi],
+            edge_offsets[lo : hi + 1] - e_lo,
+            flat.edge_targets[e_lo:e_hi] - lo,
+        )
+        spans[j:k] = _per_job(np.maximum, finish, offsets[j : k + 1] - lo)
+        j = k
+    return spans
+
+
+def _finish_times(
+    works: np.ndarray, edge_offsets: np.ndarray, edge_targets: np.ndarray
+) -> np.ndarray:
+    """Each node's earliest finish (longest weighted path ending at it).
+
+    Kahn's algorithm on a whole CSR graph at once: each step settles the
+    frontier of ready nodes and relaxes only their out-edges.
+    """
+    from repro.dag.graph import DagValidationError
+
+    n_nodes = len(works)
+    remaining = np.bincount(edge_targets, minlength=n_nodes)
+    # start[v]: the latest finish of v's predecessors settled so far.
+    start = np.zeros(n_nodes, dtype=np.int64)
+    finish = np.zeros(n_nodes, dtype=np.int64)
+    frontier = np.flatnonzero(remaining == 0)
+    settled = 0
+    while frontier.size:
+        settled += frontier.size
+        done = start[frontier] + works[frontier]
+        finish[frontier] = done
+        first = edge_offsets[frontier]
+        degree = edge_offsets[frontier + 1] - first
+        n_out = int(degree.sum())
+        if not n_out:
+            break
+        # Edge ids of every frontier out-edge, frontier node by node.
+        base = np.repeat(first - (np.cumsum(degree) - degree), degree)
+        succ = edge_targets[base + np.arange(n_out, dtype=np.int64)]
+        np.maximum.at(start, succ, np.repeat(done, degree))
+        if 4 * n_out >= n_nodes:
+            # A wide level: one O(nodes) count beats sorting its edges,
+            # and wide levels are few enough to keep the total linear.
+            hits = np.bincount(succ, minlength=n_nodes)
+            remaining -= hits
+            frontier = np.flatnonzero((hits > 0) & (remaining == 0))
+        else:
+            succ, hits = np.unique(succ, return_counts=True)
+            remaining[succ] -= hits
+            frontier = succ[remaining[succ] == 0]
+    if settled != n_nodes:
+        raise DagValidationError(
+            f"instance contains a cycle ({n_nodes - settled} nodes never "
+            "became ready)"
+        )
+    return finish
+
+
+# ----------------------------------------------------------------------
 # Segmented CSR: append
 # ----------------------------------------------------------------------
 

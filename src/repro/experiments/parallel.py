@@ -628,8 +628,13 @@ def parallel_map(
     except _SerialFallback as fallback:
         # Pool machinery failed (not necessarily fn itself: pickling
         # errors surface identically).  The serial loop is semantically
-        # equivalent and re-raises any genuine error from fn directly.
+        # equivalent and re-raises any genuine error from fn directly,
+        # so the fallback is announced only once it has succeeded: a
+        # real error from fn must not arrive behind a pool warning.
         exc = fallback.cause
+        out = _serial_run(
+            fn, work, retries, backoff_base, telemetry, on_result
+        )
         _warn_serial_fallback(fn, exc)
         if telemetry is not None:
             telemetry.emit(
@@ -637,9 +642,7 @@ def parallel_map(
                 n_tasks=len(work),
                 error=f"{type(exc).__name__}: {exc}",
             )
-        return _serial_run(
-            fn, work, retries, backoff_base, telemetry, on_result
-        )
+        return out
 
 
 # ----------------------------------------------------------------------

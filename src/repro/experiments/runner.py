@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.core.base import Scheduler
 from repro.core.fifo import FifoScheduler
 from repro.core.opt import OptLowerBound
 from repro.core.work_stealing import WorkStealingScheduler
+from repro.dag.flat import FlatInstance, to_jobset
 from repro.dag.job import JobSet
 from repro.experiments.cache import (
     SweepCache,
@@ -46,7 +47,7 @@ from repro.workloads.generator import WorkloadSpec
 
 
 def run_schedulers(
-    jobset: JobSet,
+    instance: Union[JobSet, FlatInstance],
     schedulers: Iterable[Scheduler],
     m: int,
     speed: float = 1.0,
@@ -57,11 +58,21 @@ def run_schedulers(
     Each scheduler gets its own derived seed so that, e.g., adding a
     scheduler to the comparison never changes the victim-selection
     stream of the others.
+
+    A :class:`FlatInstance` goes as-is to schedulers whose
+    ``consumes_flat`` is true (OPT, kernel-routed work stealing); the
+    others share one ``to_jobset`` view, built on first need.
     """
+    jobset = instance if isinstance(instance, JobSet) else None
     out: Dict[str, ScheduleResult] = {}
     for i, sched in enumerate(schedulers):
         run_seed = derive_seed(seed, 1000 + i)
-        out[sched.name] = sched.run(jobset, m=m, speed=speed, seed=run_seed)
+        target = instance
+        if not getattr(sched, "consumes_flat", False):
+            if jobset is None:
+                jobset = to_jobset(instance)
+            target = jobset
+        out[sched.name] = sched.run(target, m=m, speed=speed, seed=run_seed)
     return out
 
 
@@ -90,29 +101,28 @@ def run_figure2_cell(
     flow of each scheduler across them, converting to milliseconds with
     the config's time unit.
 
-    The work-stealing lineup members run through
-    :mod:`repro.sim.dispatch`, i.e. on the compiled kernel at any rep
-    count when the host has one.
+    Each rep is built straight into CSR arrays
+    (:meth:`WorkloadSpec.build_flat`, bit-identical to ``spec.build``),
+    which OPT and the kernel-routed work-stealing members read directly
+    (the latter through :mod:`repro.sim.dispatch`); an object graph is
+    built only for lineup members that need one (see
+    :func:`run_schedulers`).
     """
     lineup = figure2_schedulers(cfg, include_fifo)
-
-    def build_rep(rep: int) -> JobSet:
-        cell_seed = derive_seed(seed, int(qps), rep)
-        spec = WorkloadSpec(
-            distribution=cfg.distribution_factory(),
-            qps=qps,
-            n_jobs=scale.n_jobs,
-            m=cfg.m,
-            units_per_ms=cfg.units_per_ms,
-            target_chunks=cfg.target_chunks,
-        )
-        return spec.build(seed=cell_seed)
+    spec = WorkloadSpec(
+        distribution=cfg.distribution_factory(),
+        qps=qps,
+        n_jobs=scale.n_jobs,
+        m=cfg.m,
+        units_per_ms=cfg.units_per_ms,
+        target_chunks=cfg.target_chunks,
+    )
 
     sums: Dict[str, float] = {}
     for rep in range(scale.reps):
         cell_seed = derive_seed(seed, int(qps), rep)
         results = run_schedulers(
-            build_rep(rep),
+            spec.build_flat(seed=cell_seed),
             lineup,
             m=cfg.m,
             seed=cell_seed,
@@ -190,9 +200,10 @@ def _run_figure2_cells(
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`, optional) records the
     sweep as structured events -- ``sweep.start``, per-cell ``cell.run``
-    (worker-measured wall time + pid) / ``cell.cached``, ``cache.*``,
-    ``sweep.done`` -- and writes a run manifest next to the cache dir
-    (or the telemetry log).  Results are bit-identical either way.
+    (emitted as the cell finishes, with worker-measured wall time + pid)
+    / ``cell.cached``, ``cache.*``, ``sweep.done`` -- and writes a run
+    manifest next to the cache dir (or the telemetry log).  Results are
+    bit-identical either way.
     """
     t_start = time.perf_counter()
     if resume is None:
@@ -243,20 +254,37 @@ def _run_figure2_cells(
         (cfg, qps_values[i], scale, seed, include_fifo) for i in cold
     ]
 
+    reported: set = set()
+
     def checkpoint(batch_idx: int, payload: Dict[str, Any]) -> None:
-        # Flush each finished cell to the cache immediately (completion
-        # order), so a killed sweep resumes from everything already
-        # computed.  A failed checkpoint write only degrades
-        # resumability, never the run.
+        # Runs as each cell finishes (completion order): its cell.run
+        # event is stamped now, not at the end of the sweep, and the
+        # cell is flushed to the cache, so a killed sweep resumes from
+        # everything already computed.  A failed checkpoint write only
+        # degrades resumability, never the run.  A serial fallback
+        # re-runs the batch; each cell is reported once.
+        i = cold[batch_idx]
+        if telemetry is not None and i not in reported:
+            reported.add(i)
+            telemetry.emit(
+                "cell.run",
+                params={"qps": qps_values[i]},
+                seed=seed,
+                wall_s=payload["wall_s"],
+                pid=payload["pid"],
+                engine=payload["engine"],
+                reason=payload["reason"],
+                metrics=payload["metrics"],
+            )
         if cache is None:
             return
         try:
-            cache.store_cell(keys[cold[batch_idx]], payload["metrics"])
+            cache.store_cell(keys[i], payload["metrics"])
         except Exception as exc:
             if telemetry is not None:
                 telemetry.emit(
                     "cache.store_failed",
-                    key=keys[cold[batch_idx]],
+                    key=keys[i],
                     error=f"{type(exc).__name__}: {exc}",
                 )
 
@@ -266,19 +294,7 @@ def _run_figure2_cells(
         on_result=checkpoint,
     )
     for i, payload in zip(cold, cold_results):
-        value = payload["metrics"]
-        results[i] = value
-        if telemetry is not None:
-            telemetry.emit(
-                "cell.run",
-                params={"qps": qps_values[i]},
-                seed=seed,
-                wall_s=payload["wall_s"],
-                pid=payload["pid"],
-                engine=payload["engine"],
-                reason=payload["reason"],
-                metrics=value,
-            )
+        results[i] = payload["metrics"]
 
     manifest_path = None
     log_path = telemetry.path if telemetry is not None else None

@@ -337,7 +337,7 @@ def _sweep_task(unit) -> Dict[str, Any]:
 
 
 def _materialize_rep_instance(
-    jobset_factory: Callable[[int], JobSet],
+    jobset_factory: Callable[[int], Union[JobSet, FlatInstance]],
     jobset_seed: int,
     cache: Optional[SweepCache],
 ):
@@ -349,8 +349,9 @@ def _materialize_rep_instance(
     callables have no stable content identity to key on.  A flat view is
     always produced -- the dispatch and cell-cache layers both need it.
     ``jobset`` is None when the instance exists only in flat form (a
-    cache load or a vectorized build); the sweep builds the object view
-    on demand, for schedulers that need one.
+    cache load, a vectorized build, or a factory that returns a
+    :class:`FlatInstance`); the sweep builds the object view on demand,
+    for schedulers that need one.
     """
     key_fn = getattr(jobset_factory, "cache_key", None)
     instance_key = key_fn(jobset_seed) if callable(key_fn) else None
@@ -366,8 +367,13 @@ def _materialize_rep_instance(
         # Vectorized path: CSR arrays straight from the generator.
         flat = build_flat(jobset_seed)
     else:
-        jobset = jobset_factory(jobset_seed)
-        flat = flatten_jobset(jobset)
+        built = jobset_factory(jobset_seed)
+        if isinstance(built, FlatInstance):
+            # A flat factory (e.g. ``spec.build_flat``): taken as-is.
+            flat = built
+        else:
+            jobset = built
+            flat = flatten_jobset(jobset)
     if cache is not None and instance_key is not None:
         cache.store_instance(instance_key, flat)
     return jobset, flat, False
@@ -376,7 +382,7 @@ def _materialize_rep_instance(
 def _grid_sweep(
     scheduler_factory: Callable[..., Scheduler],
     grid: Dict[str, Sequence[Any]],
-    jobset_factory: Callable[[int], JobSet],
+    jobset_factory: Callable[[int], Union[JobSet, FlatInstance]],
     m: int,
     reps: int = 1,
     seed: int = 0,
@@ -403,8 +409,9 @@ def _grid_sweep(
         Parameter name -> values to sweep (cross product over all).
     jobset_factory:
         Called with a derived rep seed; must return the instance for
-        that repetition.  The same rep seeds are used for every cell,
-        so comparisons across cells are paired.  Each repetition's
+        that repetition, a :class:`JobSet` or a :class:`FlatInstance`
+        (e.g. ``spec.build_flat``).  The same rep seeds are used for
+        every cell, so comparisons across cells are paired.  Each repetition's
         instance is built once in the parent and shared with workers
         through shared memory.  A :class:`WorkloadSpec` works directly
         (it is callable) and additionally unlocks the instance cache

@@ -39,9 +39,15 @@ import numpy as np
 from repro.sim.rng import SeedLike, make_rng
 
 #: Sample count used to calibrate canonical means, and the fixed seed for
-#: it.  Calibration is deterministic and happens once per instance.
+#: it.  Calibration is deterministic and happens once per distinct
+#: distribution (see :meth:`WorkDistribution._ensure_scale`).
 _CALIBRATION_SAMPLES = 200_000
 _CALIBRATION_SEED = 0xC0FFEE
+
+#: Calibrated scales by ``(class, token())``: equal tokens sample
+#: identically, so they calibrate to the same float.  Filled lazily, on
+#: the first draw, never at import.
+_SCALES: "dict[tuple[type, str], float]" = {}
 
 
 class WorkDistribution(ABC):
@@ -86,18 +92,34 @@ class WorkDistribution(ABC):
     # -- calibration ------------------------------------------------------
 
     def _ensure_scale(self) -> float:
-        """Multiplier taking the canonical mean to ``mean_ms`` (cached)."""
+        """Multiplier taking the canonical mean to ``mean_ms`` (cached).
+
+        Memoized per ``(class, token())`` across instances, so building
+        the same distribution again (one per figure cell or rep) does
+        not re-draw the 200k calibration samples.  A token that embeds
+        a memory address identifies nothing stable and is not memoized.
+        """
         if self._scale is None:
-            rng = make_rng(_CALIBRATION_SEED)
-            canonical_mean = float(
-                self._sample_canonical(rng, _CALIBRATION_SAMPLES).mean()
-            )
-            if canonical_mean <= 0:
-                raise RuntimeError(
-                    f"{self.name}: canonical samples have non-positive mean"
-                )
-            self._scale = self.mean_ms / canonical_mean
+            key = (type(self), self.token())
+            scale = _SCALES.get(key)
+            if scale is None:
+                scale = self._calibrate()
+                if " at 0x" not in key[1]:
+                    _SCALES[key] = scale
+            self._scale = scale
         return self._scale
+
+    def _calibrate(self) -> float:
+        """Draw the calibration sample and return the scale (uncached)."""
+        rng = make_rng(_CALIBRATION_SEED)
+        canonical_mean = float(
+            self._sample_canonical(rng, _CALIBRATION_SAMPLES).mean()
+        )
+        if canonical_mean <= 0:
+            raise RuntimeError(
+                f"{self.name}: canonical samples have non-positive mean"
+            )
+        return self.mean_ms / canonical_mean
 
     @classmethod
     def natural(cls, **kwargs) -> "WorkDistribution":

@@ -74,35 +74,38 @@ def _parallel_for_flat(
     setup_pos = job_node_offsets[:-1]
     fin_pos = job_node_offsets[1:] - 1
 
-    # Global ids of every chunk node, jobs concatenated in order.
+    # Global ids of every chunk node, jobs concatenated in order.  The
+    # chunk-length arrays are the big ones (~30 per job): build them in
+    # place and drop them early to bound the transient peak.
     total_chunks = int(n_chunks.sum())
     chunk_starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(n_chunks, out=chunk_starts[1:])
-    within = np.arange(total_chunks, dtype=np.int64) - np.repeat(
-        chunk_starts[:-1], n_chunks
-    )
-    chunk_global = np.repeat(setup_pos + 1, n_chunks) + within
+    within = np.arange(total_chunks, dtype=np.int64)
+    within -= np.repeat(chunk_starts[:-1], n_chunks)
+    chunk_global = np.repeat(setup_pos + 1, n_chunks)
+    chunk_global += within
 
     # Chunk works: `grain` everywhere, the job's last chunk holds the
     # remainder when the split is uneven.
-    chunk_works = np.repeat(grains, n_chunks)
-    has_rem = rem > 0
-    chunk_works[chunk_starts[1:][has_rem] - 1] = rem[has_rem]
-
     node_works = np.empty(n_nodes, dtype=np.int64)
     node_works[setup_pos] = setup_units
     node_works[fin_pos] = finalize_units
-    node_works[chunk_global] = chunk_works
+    node_works[chunk_global] = np.repeat(grains, n_chunks)
+    has_rem = rem > 0
+    node_works[chunk_global[chunk_starts[1:][has_rem] - 1]] = rem[has_rem]
 
     # CSR edges: setup -> every chunk, every chunk -> finalize.
-    out_degree = np.zeros(n_nodes, dtype=np.int64)
+    edge_offsets = np.zeros(n_nodes + 1, dtype=np.int64)
+    out_degree = edge_offsets[1:]
     out_degree[setup_pos] = n_chunks
     out_degree[chunk_global] = 1
-    edge_offsets = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(out_degree, out=edge_offsets[1:])
+    np.cumsum(out_degree, out=out_degree)
     edge_targets = np.empty(2 * total_chunks, dtype=np.int64)
-    fork_slots = np.repeat(edge_offsets[setup_pos], n_chunks) + within
+    fork_slots = np.repeat(edge_offsets[setup_pos], n_chunks)
+    fork_slots += within
+    del within
     edge_targets[fork_slots] = chunk_global
+    del fork_slots
     edge_targets[edge_offsets[chunk_global]] = np.repeat(fin_pos, n_chunks)
 
     return FlatInstance(

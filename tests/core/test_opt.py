@@ -98,3 +98,61 @@ class TestSchedulerWrapper:
             opt_lower_bound(single_job_set, m=0)
         with pytest.raises(ValueError):
             opt_lower_bound(single_job_set, m=1, speed=0.0)
+
+
+class TestFlatInput:
+    """OPT on a FlatInstance equals OPT on its object view exactly."""
+
+    @staticmethod
+    def assert_same(a, b):
+        assert np.array_equal(a.completions, b.completions)
+        assert np.array_equal(a.arrivals, b.arrivals)
+        assert np.array_equal(a.weights, b.weights)
+        assert a.stats == b.stats
+        assert (a.scheduler, a.m, a.speed) == (b.scheduler, b.m, b.speed)
+
+    @pytest.mark.parametrize("use_span_bound", [True, False])
+    @pytest.mark.parametrize("speed", [1.0, 1.5])
+    def test_workload_instance(self, use_span_bound, speed):
+        from repro.dag.flat import to_jobset
+        from repro.workloads import BingDistribution, WorkloadSpec
+
+        flat = WorkloadSpec(
+            BingDistribution(), qps=1100.0, n_jobs=300, m=8
+        ).build_flat(seed=4)
+        kwargs = dict(m=8, speed=speed, use_span_bound=use_span_bound)
+        self.assert_same(
+            opt_lower_bound(flat, **kwargs),
+            opt_lower_bound(to_jobset(flat), **kwargs),
+        )
+
+    def test_unsorted_arrivals_take_jobset_order(self):
+        from repro.dag.flat import FlatInstance, flatten_jobset, to_jobset
+
+        base = flatten_jobset(
+            jobs_from_dags(
+                [chain([2, 3]), single_node(9), chain([1, 1, 1])],
+                [0.0, 1.0, 2.0],
+            )
+        )
+        flat = FlatInstance(
+            node_works=base.node_works,
+            edge_offsets=base.edge_offsets,
+            edge_targets=base.edge_targets,
+            job_node_offsets=base.job_node_offsets,
+            arrivals=[5.0, 1.0, 1.0],
+            weights=[1.0, 2.0, 3.0],
+        )
+        self.assert_same(
+            opt_lower_bound(flat, m=2), opt_lower_bound(to_jobset(flat), m=2)
+        )
+
+    def test_wrapper_consumes_flat(self):
+        from repro.dag.flat import flatten_jobset
+
+        js = jobs_from_dags([chain([4, 4]), single_node(6)], [0.0, 1.0])
+        sched = OptLowerBound()
+        assert sched.consumes_flat is True
+        self.assert_same(
+            sched.run(flatten_jobset(js), m=2), sched.run(js, m=2)
+        )

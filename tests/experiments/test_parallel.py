@@ -41,6 +41,10 @@ def _boom(x):  # top-level: raises inside the pool worker
     raise ValueError(f"boom on {x}")
 
 
+def _type_error(x):  # top-level: a genuine in-cell TypeError
+    raise TypeError(f"bad cell {x}")
+
+
 def _build_jobset(seed):  # top-level jobset factory for grid_sweep
     return WorkloadSpec(
         BingDistribution(), qps=800.0, n_jobs=30, m=4, target_chunks=8
@@ -86,6 +90,21 @@ class TestParallelMap:
     def test_fn_exceptions_propagate(self):
         with pytest.raises(ValueError, match="boom"):
             parallel_map(_boom, [1, 2], max_workers=2)
+
+    def test_in_cell_type_error_propagates_without_fallback_warning(self):
+        # A TypeError from fn itself looks like a pool failure until the
+        # serial loop re-raises it; the fallback must not be announced.
+        from repro.experiments import parallel as parallel_mod
+        from repro.obs import Telemetry
+
+        parallel_mod._FALLBACK_WARNED.clear()
+        tel = Telemetry()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TypeError, match="bad cell"):
+                parallel_map(_type_error, [1, 2], max_workers=2, telemetry=tel)
+        assert not [w for w in caught if "process pool" in str(w.message)]
+        assert tel.of_kind("dispatch.fallback") == []
 
     def test_empty_and_singleton(self):
         assert parallel_map(_square, [], max_workers=4) == []

@@ -41,6 +41,22 @@ class TestRunSchedulers:
         assert a["steal-2-first"].max_flow == b["steal-2-first"].max_flow
 
 
+    def test_flat_instance_matches_its_object_view(self):
+        from repro.core.work_stealing import WorkStealingScheduler
+        from repro.dag.flat import to_jobset
+        from repro.workloads import BingDistribution, WorkloadSpec
+
+        flat = WorkloadSpec(
+            BingDistribution(), qps=900.0, n_jobs=60, m=8
+        ).build_flat(seed=2)
+        lineup = [OptLowerBound(), WorkStealingScheduler(k=4), FifoScheduler()]
+        a = run_schedulers(flat, lineup, m=8, seed=5)
+        b = run_schedulers(to_jobset(flat), lineup, m=8, seed=5)
+        for name in b:
+            assert (a[name].completions == b[name].completions).all()
+            assert a[name].stats == b[name].stats
+
+
 class TestFigure2Cell:
     def test_lineup(self):
         names = [s.name for s in figure2_schedulers(FIG2A)]
@@ -61,6 +77,35 @@ class TestFigure2Cell:
         a = run_figure2_cell(FIG2A, qps=800.0, scale=TINY, seed=7)
         b = run_figure2_cell(FIG2A, qps=800.0, scale=TINY, seed=7)
         assert a == b
+
+
+    def test_cell_run_is_emitted_when_its_cell_finishes(self, monkeypatch):
+        # A watcher must see progress: in a serial run each cell's
+        # cell.run lands before anything the next cell does.
+        from repro.experiments import runner
+        from repro.obs import Telemetry
+
+        tel = Telemetry()
+        real_task = runner._figure2_cell_task
+
+        def marked_task(task):
+            tel.emit("test.cell_start", qps=task[1])
+            return real_task(task)
+
+        monkeypatch.setattr(runner, "_figure2_cell_task", marked_task)
+        runner._run_figure2_cells(
+            FIG2A, FIG2A.qps_values, ExperimentScale(n_jobs=30, reps=1),
+            max_workers=1, telemetry=tel,
+        )
+        order = [
+            (e["event"], e.get("qps", (e.get("params") or {}).get("qps")))
+            for e in tel.events
+            if e["event"] in ("test.cell_start", "cell.run")
+        ]
+        expected = []
+        for qps in FIG2A.qps_values:
+            expected += [("test.cell_start", qps), ("cell.run", qps)]
+        assert order == expected
 
 
 class TestMeanAndSpread:

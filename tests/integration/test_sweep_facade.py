@@ -40,6 +40,11 @@ def spec():
     )
 
 
+def _fifo_for_any_k(k):
+    # FIFO has no flat path: it runs on the to_jobset view.
+    return repro.FifoScheduler()
+
+
 def cells_of(table):
     return [(c.params, c.metrics) for c in table.cells]
 
@@ -110,6 +115,21 @@ class TestSchedulerForms:
             repro.sweep(42, {"k": [0]}, spec, m=4)
         with pytest.raises(TypeError, match="subclass"):
             repro.sweep(dict, {"k": [0]}, spec, m=4)
+
+
+class TestWorkloadForms:
+    """A factory may return a FlatInstance (e.g. ``spec.build_flat``)."""
+
+    @pytest.mark.parametrize(
+        "scheduler", ["flat", _fifo_for_any_k, WorkStealingScheduler]
+    )
+    def test_build_flat_factory_matches_spec(self, spec, scheduler):
+        grid = {"k": [0, 4]}
+        kwargs = dict(m=4, reps=3, seed=2, max_workers=1)
+        via_spec = repro.sweep(scheduler, grid, spec, **kwargs)
+        via_flat = repro.sweep(scheduler, grid, spec.build_flat, **kwargs)
+        assert repr(cells_of(via_flat)) == repr(cells_of(via_spec))
+        assert cells_of(via_flat) == cells_of(via_spec)
 
 
 class TestAliases:

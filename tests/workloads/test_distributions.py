@@ -220,3 +220,54 @@ class TestHistogram:
     def test_bin_width_respected(self):
         edges, _ = FinanceDistribution().histogram(0, size=5000, bin_width_ms=4.0)
         assert np.allclose(np.diff(edges), 4.0)
+
+
+class TestCalibrationMemo:
+    """One calibration per distinct distribution, shared across instances."""
+
+    @pytest.mark.parametrize("cls", ALL_DISTRIBUTIONS)
+    def test_memo_hit_equals_fresh_calibration(self, cls):
+        first = cls(mean_ms=7.0)
+        first._ensure_scale()
+        again = cls(mean_ms=7.0)
+        assert again._ensure_scale() == again._calibrate()
+        assert again._ensure_scale() == first._ensure_scale()
+        assert np.array_equal(again.sample_ms(3, 200), first.sample_ms(3, 200))
+
+    def test_memo_skips_the_calibration_draw(self, monkeypatch):
+        BingDistribution(mean_ms=11.0)._ensure_scale()
+        d = BingDistribution(mean_ms=11.0)
+        monkeypatch.setattr(
+            d, "_calibrate", lambda: pytest.fail("calibrated twice")
+        )
+        d._ensure_scale()
+
+    def test_distinct_distributions_never_share_a_scale(self):
+        from repro.workloads.distributions import _SCALES
+
+        dists = [
+            BingDistribution(mean_ms=10.0),
+            BingDistribution(mean_ms=12.0),
+            FinanceDistribution(mean_ms=10.0),
+            LogNormalDistribution(mean_ms=10.0, sigma=1.0),
+            LogNormalDistribution(mean_ms=10.0, sigma=0.5),
+            LogNormalDistribution(mean_ms=10.0, clip=20.0),
+        ]
+        scales = [d._ensure_scale() for d in dists]
+        assert len(set(scales)) == len(dists)
+        for d, scale in zip(dists, scales):
+            assert scale == d._calibrate()
+            assert _SCALES[(type(d), d.token())] == scale
+
+    def test_subclass_with_same_token_text_gets_its_own_scale(self):
+        from repro.workloads import distributions
+
+        base = distributions.BingDistribution
+
+        class BingDistribution(base):  # same name, different shape
+            BODY_MEDIAN = 60.0
+
+        plain, heavier = base(), BingDistribution()
+        assert plain.token() == heavier.token()
+        assert heavier._ensure_scale() == heavier._calibrate()
+        assert heavier._ensure_scale() != plain._ensure_scale()

@@ -6,8 +6,10 @@ must be memory-safe, not just bit-identical.  This runner rebuilds it
 with AddressSanitizer and UndefinedBehaviorSanitizer -- by extending
 ``repro.sim._cext._CFLAGS`` in this process; the flags are part of the
 shared object's cache key, so the instrumented build never shadows the
-normal one -- and runs the batch, stream, golden and checkpoint suites
-on it under ``REPRO_CEXT=1``.  Any sanitizer report aborts the run.
+normal one -- and runs the batch, stream, golden, checkpoint, dispatch,
+sweep-batching and Figure 2 identity suites on it under
+``REPRO_CEXT=1`` (the last three cover the single-run path the figure
+runners take).  Any sanitizer report aborts the run.
 
 The interpreter itself is not instrumented, so the sanitizer runtime
 must be preloaded::
@@ -38,6 +40,9 @@ SUITES = [
     "tests/sim/test_stream_engine.py",
     "tests/sim/test_stream_golden.py",
     "tests/sim/test_checkpoint.py",
+    "tests/sim/test_dispatch.py",
+    "tests/experiments/test_sweep_batching.py",
+    "tests/experiments/test_figure2_flat_identity.py",
 ]
 
 
